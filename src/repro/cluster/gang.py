@@ -12,6 +12,7 @@ i.e. pair the heaviest remaining rank with the lightest remaining rank
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -85,23 +86,25 @@ def gang_placement(
     if lo == hi:
         pairs.append((order[lo],))
 
-    # LPT over nodes.
+    # LPT over nodes.  The heap holds ``(node_total, node)`` for every
+    # node with a free core; tuple order picks the lowest total with the
+    # lowest index winning ties, exactly as a min-scan over the nodes.
     pair_load = lambda p: sum(loads[r] for r in p)  # noqa: E731
     pairs.sort(key=pair_load, reverse=True)
-    node_total = [0.0] * n_nodes
     node_next_cpu = [0] * n_nodes
     placement = GangPlacement()
     cores_per_node = cpus_per_node // 2
+    open_nodes: List[Tuple[float, int]] = (
+        [(0.0, n) for n in range(n_nodes)] if cores_per_node else []
+    )
     for pair in pairs:
-        candidates = [
-            n for n in range(n_nodes) if node_next_cpu[n] // 2 < cores_per_node
-        ]
-        node = min(candidates, key=lambda n: node_total[n])
+        total, node = heapq.heappop(open_nodes)
         base_cpu = node_next_cpu[node]
         for i, rank in enumerate(pair):
             placement.slots[rank] = Slot(node, base_cpu + i)
         node_next_cpu[node] = base_cpu + 2  # one core consumed
-        node_total[node] += pair_load(pair)
+        if node_next_cpu[node] // 2 < cores_per_node:
+            heapq.heappush(open_nodes, (total + pair_load(pair), node))
         if len(pair) == 2:
             placement.core_pairs.append((pair[0], pair[1]))
     return placement

@@ -233,7 +233,9 @@ class ShardMPIRuntime(MPIRuntime):
     ) -> None:
         super().__init__(kernel, route_delay=route_delay)
         self._local_ranks = frozenset(local_ranks)
-        self.world = Communicator(sorted(world_ranks), name="world")
+        # The world spans every shard, so it is fixed here; the local
+        # ``bind`` below never invalidates it.
+        self._world = Communicator(sorted(world_ranks), name="world")
         self.outbox_sends: List[WireSend] = []
         self.outbox_arrivals: List[WireArrival] = []
         # Communicator membership never changes after construction, so
@@ -245,9 +247,7 @@ class ShardMPIRuntime(MPIRuntime):
 
     # -- registration ---------------------------------------------------
     def bind(self, rank, task, kernel=None) -> None:
-        """Bind a *local* rank.  Unlike the serial runtime this must not
-        rebuild ``world`` from the bound ranks: the world communicator
-        spans every shard and was fixed at construction."""
+        """Bind a *local* rank."""
         if rank in self.tasks:
             raise ValueError(f"rank {rank} already bound")
         if rank not in self._local_ranks:

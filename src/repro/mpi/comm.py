@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 #: Wildcards for receive matching, as in MPI.
 ANY_SOURCE = -1
@@ -15,9 +15,13 @@ class Communicator:
     _next_id = 0
 
     def __init__(self, ranks: Sequence[int], name: str = "world") -> None:
-        if len(set(ranks)) != len(ranks):
-            raise ValueError("duplicate ranks in communicator")
+        #: Ordered members (``split`` and the wire codec rely on order).
         self.ranks: Tuple[int, ...] = tuple(ranks)
+        #: The same members as a set: O(1) membership on every
+        #: collective arrival, however many ranks the job has.
+        self._members: FrozenSet[int] = frozenset(self.ranks)
+        if len(self._members) != len(self.ranks):
+            raise ValueError("duplicate ranks in communicator")
         self.name = name
         self.cid = Communicator._next_id
         Communicator._next_id += 1
@@ -27,7 +31,7 @@ class Communicator:
         return len(self.ranks)
 
     def __contains__(self, rank: int) -> bool:
-        return rank in self.ranks
+        return rank in self._members
 
     def split(self, color_of) -> "dict":
         """MPI_Comm_split: partition ranks by ``color_of(rank)``.

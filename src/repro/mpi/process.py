@@ -123,7 +123,6 @@ class MPIRank:
     # -- environment ----------------------------------------------------
     @property
     def world(self) -> Communicator:
-        assert self.runtime.world is not None
         return self.runtime.world
 
     @property

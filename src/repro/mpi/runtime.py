@@ -80,7 +80,9 @@ class MPIRuntime:
         self._collectives: Dict[Tuple[int, str, int], _CollectiveState] = {}
         self._collective_round: Dict[Tuple[int, str], int] = {}
         self._msg_seq = 0
-        self.world: Optional[Communicator] = None
+        #: MPI_COMM_WORLD, built lazily by :attr:`world`; ``None`` until
+        #: first read after the latest :meth:`bind`.
+        self._world: Optional[Communicator] = None
         #: Counters for analysis.
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -96,7 +98,18 @@ class MPIRuntime:
         self.tasks[rank] = task
         self._kernels[rank] = kernel or self.kernel
         self._states[rank] = _RankState()
-        self.world = Communicator(sorted(self.tasks), name="world")
+        self._world = None
+
+    @property
+    def world(self) -> Communicator:
+        """MPI_COMM_WORLD over every bound rank, in rank order.
+
+        Built once on first read after the last :meth:`bind`, so binding
+        N ranks costs one build rather than N.
+        """
+        if self._world is None:
+            self._world = Communicator(sorted(self.tasks), name="world")
+        return self._world
 
     def state(self, rank: int) -> _RankState:
         """The rank's matching state (mostly for tests/inspection)."""

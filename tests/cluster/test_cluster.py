@@ -1,5 +1,7 @@
 """Cluster simulation tests."""
 
+import gc
+
 import pytest
 
 from repro.cluster import Cluster, InterconnectModel
@@ -7,6 +9,7 @@ from repro.cluster.experiment import run_cluster
 from repro.cluster.gang import block_placement
 from repro.hpcsched import UniformHeuristic
 from repro.mpi.process import MPIRank
+from repro.simcore.engine import SimulationError
 
 
 def test_nodes_share_one_clock():
@@ -126,6 +129,37 @@ def test_live_total_tracks_all_nodes():
     c.run()
     assert c._live_total == 0
     assert all(n.kernel.live_tasks == 0 for n in c.nodes)
+
+
+def test_run_freezes_setup_objects_and_unfreezes_on_return():
+    c = Cluster(n_nodes=2, heuristic_factory=None)
+    ranks = 2 * c.cpus_per_node
+    seen = []
+
+    def observer(mpi: MPIRank):
+        def prog():
+            seen.append(gc.get_freeze_count())
+            yield mpi.compute(0.01)
+            yield mpi.barrier()
+
+        return prog()
+
+    programs = _barrier_workers(ranks - 1, iterations=1) + [observer]
+    c.launch(programs, block_placement(ranks, 2, c.cpus_per_node))
+    c.run()
+    assert c._live_total == 0
+    assert seen and seen[0] > 0  # the setup graph was frozen mid-run
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_unfreezes_gc_on_error():
+    c = Cluster(n_nodes=2, heuristic_factory=None)
+    ranks = 2 * c.cpus_per_node
+    c.launch(_barrier_workers(ranks), block_placement(ranks, 2, c.cpus_per_node))
+    c.sim.max_events = 5  # trip the livelock limit mid-run
+    with pytest.raises(SimulationError, match="event limit"):
+        c.run()
+    assert gc.get_freeze_count() == 0
 
 
 def test_cluster_tracing_and_pmu_opt_in():

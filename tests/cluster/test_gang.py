@@ -87,3 +87,60 @@ def test_property_gang_placement_valid(loads, n_nodes):
         assert 0 <= slot.cpu < cpn
         assert (slot.node, slot.cpu) not in seen
         seen.add((slot.node, slot.cpu))
+
+
+def _min_scan_gang(loads, n_nodes, cpus_per_node):
+    """Reference LPT placement: a min-scan over the non-full nodes per
+    core pair (lowest total, lowest index on ties)."""
+    order = sorted(range(len(loads)), key=lambda r: loads[r])
+    pairs = []
+    lo, hi = 0, len(loads) - 1
+    while lo < hi:
+        pairs.append((order[hi], order[lo]))
+        lo += 1
+        hi -= 1
+    if lo == hi:
+        pairs.append((order[lo],))
+    pair_load = lambda p: sum(loads[r] for r in p)  # noqa: E731
+    pairs.sort(key=pair_load, reverse=True)
+    node_total = [0.0] * n_nodes
+    node_next_cpu = [0] * n_nodes
+    slots = {}
+    for pair in pairs:
+        candidates = [
+            n for n in range(n_nodes)
+            if node_next_cpu[n] // 2 < cpus_per_node // 2
+        ]
+        node = min(candidates, key=lambda n: node_total[n])
+        for i, rank in enumerate(pair):
+            slots[rank] = Slot(node, node_next_cpu[node] + i)
+        node_next_cpu[node] += 2
+        node_total[node] += pair_load(pair)
+    return slots
+
+
+@given(
+    st.integers(1, 64).flatmap(
+        lambda n_nodes: st.tuples(
+            st.just(n_nodes),
+            st.sampled_from([2, 4, 8]),
+            # A small pool of values makes exact ties between ranks,
+            # pairs and node totals common.
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                    st.floats(min_value=0.0, max_value=10.0),
+                ),
+                min_size=1,
+                max_size=2 * n_nodes,
+            ),
+        )
+    )
+)
+def test_property_gang_matches_min_scan_reference(case):
+    n_nodes, cpn, loads = case
+    if len(loads) > n_nodes * cpn:
+        return
+    assert gang_placement(loads, n_nodes, cpn).slots == _min_scan_gang(
+        loads, n_nodes, cpn
+    )

@@ -143,6 +143,28 @@ def test_barrier_rejects_non_member(quiet_kernel):
         rt.collective_arrive(comm, "barrier", 0)
 
 
+def test_world_collective_rejects_unbound_rank(quiet_kernel):
+    rt = MPIRuntime(quiet_kernel)
+    rt.bind(0, quiet_kernel.create_task("a"))
+    rt.bind(1, quiet_kernel.create_task("b"))
+    with pytest.raises(ValueError):
+        rt.collective_arrive(rt.world, "barrier", 5)
+
+
+def test_world_tracks_incremental_binds(quiet_kernel):
+    """``world`` is built once per read-after-bind and always spans
+    every bound rank in rank order."""
+    rt = MPIRuntime(quiet_kernel)
+    rt.bind(2, quiet_kernel.create_task("c"))
+    first = rt.world
+    assert first.ranks == (2,)
+    assert rt.world is first  # cached until the next bind
+    rt.bind(0, quiet_kernel.create_task("a"))
+    rt.bind(1, quiet_kernel.create_task("b"))
+    assert rt.world.ranks == (0, 1, 2)
+    assert all(rank in rt.world for rank in rt.tasks)
+
+
 @pytest.mark.parametrize("kind", ["bcast", "reduce", "allreduce"])
 def test_other_collectives_synchronize(quiet_kernel, kind):
     done = []
