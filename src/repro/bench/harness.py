@@ -18,11 +18,6 @@ Methodology notes:
   reports provide it (falling back to best-of-N against pre-schema-2
   baselines).  ``gc.collect()`` runs between rounds so collector debt
   from one round is not billed to the next.
-* **Unmeasured profiled pass.**  ``--profile`` runs one *extra* pass of
-  each benchmark with an :class:`repro.simcore.profile.EventProfiler`
-  active and attaches the per-event-type cost table to the record.  The
-  profiled pass is never timed: the observer overhead (two
-  ``perf_counter`` calls per event) must not pollute the wall numbers.
 * **Identical storm sizes in quick and full mode.**  ``--quick`` only
   trims the experiment suite and the round count, never the storm event
   counts, so throughput numbers stay comparable across modes.
@@ -71,9 +66,9 @@ from repro.bench.scenarios import (
 #: fields — ``jobs``, ``host_cpus``, the sharded scenarios — do not
 #: bump it: old reports stay loadable and diffable.)  Schema 2 added
 #: the round statistics (``wall_median_s``, ``wall_cv``,
-#: ``events_per_sec_median``) and the optional ``profile`` table; v1
-#: reports remain loadable (see :data:`SUPPORTED_SCHEMAS`) and diffs
-#: against them fall back to the best-of-N ruler.
+#: ``events_per_sec_median``); v1 reports remain loadable (see
+#: :data:`SUPPORTED_SCHEMAS`) and diffs against them fall back to the
+#: best-of-N ruler.
 SCHEMA_VERSION = 2
 
 #: Schemas :func:`load_report` accepts.
@@ -138,9 +133,6 @@ class BenchRecord:
     #: a noise gauge for the host; 0.0 for single-round entries.
     wall_cv: float = 0.0
     events_per_sec_median: float = 0.0
-    #: Per-event-type cost table from the unmeasured ``--profile`` pass
-    #: (type → {count, total_us, mean_us}); absent without --profile.
-    profile: Optional[Dict[str, object]] = None
     #: Attribution metadata that is *not* part of the comparable surface
     #: (``compare_reports`` keys on name+params only): the sharded
     #: scenarios record ``sync_rounds``/``wire_bytes``/``workers`` here.
@@ -159,8 +151,6 @@ class BenchRecord:
             "wall_cv": self.wall_cv,
             "events_per_sec_median": self.events_per_sec_median,
         }
-        if self.profile is not None:
-            out["profile"] = self.profile
         if self.meta is not None:
             out["meta"] = self.meta
         return out
@@ -309,25 +299,11 @@ def _measure(
     return best, median, cv, events
 
 
-def _profile_pass(fn: Callable[[], int]) -> Dict[str, object]:
-    """One extra, unmeasured run of ``fn`` with the event profiler
-    active; returns the per-event-type cost table."""
-    from repro.simcore.profile import activate_profiler, deactivate_profiler
-
-    profiler = activate_profiler()
-    try:
-        fn()
-    finally:
-        deactivate_profiler()
-    return profiler.snapshot()
-
-
 def _record(
     name: str,
     fn: Callable[[], int],
     rounds: int,
     params: Dict[str, object],
-    profiled: bool = False,
 ) -> BenchRecord:
     wall, median, cv, events = _measure(fn, rounds)
     eps = events / wall if wall > 0 else 0.0
@@ -342,7 +318,6 @@ def _record(
         wall_median_s=round(median, 6),
         wall_cv=round(cv, 4),
         events_per_sec_median=round(eps_median, 1),
-        profile=_profile_pass(fn) if profiled else None,
     )
 
 
@@ -497,13 +472,12 @@ def _exec_entry(
     rounds: int,
     quick: bool,
     storm_events: int,
-    profiled: bool = False,
 ) -> Dict[str, object]:
     """Measure one named benchmark; returns the record as a plain dict
     (this runs inside a worker process under ``--jobs``)."""
     fn, params = _entry_spec(name, quick, storm_events)
     consume_sharded_stats()  # clear any stale stats before measuring
-    rec = _record(name, fn, rounds, params, profiled=profiled)
+    rec = _record(name, fn, rounds, params)
     rec.meta = consume_sharded_stats()
     return rec.to_dict()
 
@@ -646,7 +620,6 @@ def run_suite(
     progress: Optional[Callable[[str], None]] = None,
     scenarios: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    profiled: bool = False,
 ) -> BenchReport:
     """Run the bench suite (or a subset) and return the report.
 
@@ -664,10 +637,6 @@ def run_suite(
     other reports measured with the same ``jobs`` on the same host —
     both are recorded in the report and :func:`context_warnings` flags
     diffs across mismatched configurations.
-
-    ``profiled`` adds one unmeasured pass per benchmark with the event
-    profiler active and attaches the per-event-type cost table to each
-    record (``repro bench --profile``).
     """
     if rounds is None:
         rounds = 3 if quick else 5
@@ -690,7 +659,7 @@ def run_suite(
         with ProcessPoolExecutor(max_workers=min(jobs, len(plan))) as pool:
             futures = {
                 pool.submit(
-                    _exec_entry, name, n_rounds, quick, storm_events, profiled
+                    _exec_entry, name, n_rounds, quick, storm_events
                 ): name
                 for name, n_rounds in plan
             }
@@ -702,7 +671,7 @@ def run_suite(
             report.records[name] = done[name]
     else:
         for name, n_rounds in plan:
-            rec = BenchRecord(**_exec_entry(name, n_rounds, quick, storm_events, profiled))  # type: ignore[arg-type]
+            rec = BenchRecord(**_exec_entry(name, n_rounds, quick, storm_events))  # type: ignore[arg-type]
             report.records[name] = rec
             say(_progress_line(rec))
 

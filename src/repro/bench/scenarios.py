@@ -3,14 +3,14 @@
 Two synthetic event storms bracket the engine's behaviour:
 
 * :func:`event_storm_chain` — a single self-rescheduling chain.  The
-  heap never holds more than one event, so the measurement isolates the
+  queue never holds more than one event, so the measurement isolates the
   per-event fixed cost of the run loop (pop, clock update, callback
   dispatch, push).
 * :func:`event_storm_deep` — many concurrent chains with staggered
-  periods.  The heap stays hundreds of events deep, which is what real
+  periods.  The queue stays hundreds of events deep, which is what real
   kernel queues look like (ticks, phase completions, balance timers and
-  reschedules across every CPU), so ``Event.__lt__`` and heap sifting
-  dominate.
+  reschedules across every CPU), so the timestamp heap and bucket
+  bookkeeping dominate.
 
 Two cluster-scale scenarios exercise the scale-out path on top of the
 full stack (paper §VI: "modern Supercomputers consist of thousands of

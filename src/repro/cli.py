@@ -241,12 +241,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "into the report's 'scaling' section instead of the normal "
         "suite",
     )
-    ben.add_argument(
-        "--profile", action="store_true",
-        help="add one unmeasured pass per benchmark with the "
-        "per-event-type cost profiler active; the count/total-µs table "
-        "is attached to each record and printed after the run",
-    )
     clu = sub.add_parser(
         "cluster",
         help="run the multi-node gang-scheduling experiment "
@@ -1078,7 +1072,6 @@ def _bench(args) -> int:
                 label=args.label,
                 rounds=args.rounds,
                 jobs=args.jobs,
-                profiled=args.profile,
                 progress=lambda line: print(f"  {line}"),
                 **kwargs,
             )
@@ -1100,19 +1093,6 @@ def _bench(args) -> int:
                     f"  {row['events_per_sec']:>12,.0f}"
                     f"  {row['sync_rounds']:>11,}"
                     f"  {row['wire_bytes']:>11,}  {row['workers']}"
-                )
-
-    if args.profile:
-        print("\nper-event-type costs (unmeasured profiled pass):")
-        for name, rec in report.records.items():
-            if not rec.profile:
-                continue
-            print(f"  {name}:")
-            for etype, row in rec.profile.items():
-                print(
-                    f"    {etype:<16} {row['count']:>9,} events  "
-                    f"{row['total_us']:>12,.0f} µs  "
-                    f"({row['mean_us']:.2f} µs/event)"
                 )
 
     if args.baseline is not None:

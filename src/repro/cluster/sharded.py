@@ -445,9 +445,9 @@ class ShardEngine:
         # recognize the *armed* ones in the window-horizon scan.  Labels
         # are uniquified per node before launch — the stock per-kernel
         # labels collide across the kernels sharing this shard's
-        # simulator — so `_next_action` can map a heap entry back to
-        # its kernel.  With fast-forward disabled (REPRO_FASTFORWARD=0)
-        # the chains stay armed and the scan alone keeps windows sound.
+        # simulator — so `_next_action` can map a queued event back to
+        # its kernel.  A kernel built with fastforward=False keeps its
+        # chains armed, and the scan alone keeps windows sound.
         self._label_kernel: Dict[str, object] = {}
         self.windowed = windowed
         if windowed:

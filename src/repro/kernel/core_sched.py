@@ -44,7 +44,7 @@ from repro.power5.priorities import (
     can_set_priority,
 )
 from repro.simcore.engine import Simulator
-from repro.simcore.fastforward import ChainFamily, fastforward_enabled
+from repro.simcore.fastforward import ChainFamily
 
 # Event priorities: lower fires first at equal timestamps.  Phase
 # completions and wakeups run before deferred reschedules so that a
@@ -68,7 +68,7 @@ class Kernel:
         sim: Optional[Simulator] = None,
         tunables: Optional[Tunables] = None,
         trace: Optional[Any] = None,
-        fastforward: Optional[bool] = None,
+        fastforward: bool = True,
     ) -> None:
         self.sim = sim or Simulator()
         self.machine = machine or Machine()
@@ -77,9 +77,9 @@ class Kernel:
         self.latency_stats = LatencyStats()
         #: Fast-forward engine flag (see repro.simcore.fastforward):
         #: provably-inert balance-timer and full-tick fires are elided
-        #: analytically instead of executed.  Default follows the
-        #: REPRO_FASTFORWARD environment variable (on).
-        self.fastforward = fastforward_enabled(fastforward)
+        #: analytically instead of executed.  ``False`` keeps the stock
+        #: always-armed chains (the non-eliding reference).
+        self.fastforward = fastforward
         #: Parked-timer families (None until the matching chains start).
         self._ff_balance: Optional[ChainFamily] = None
         self._ff_tick: Optional[ChainFamily] = None
@@ -105,13 +105,6 @@ class Kernel:
         self._resched_fns = {
             c: (lambda c=c: self._resched_fire(c)) for c in self.machine.cpu_ids
         }
-        #: Cancel a CPU's still-pending resched event when __schedule
-        #: runs through a direct path (exit/block/migrate) — the event
-        #: would fire as a need_resched=False no-op anyway.  Only the
-        #: accelerated core does this: cancelling frees a bucket slot
-        #: there, while the heap core's lazy-deletion queue gains nothing
-        #: over the no-op delivery.
-        self._coalesce_resched = getattr(self.sim, "core", "heap") == "fast"
         self.tunables.subscribe(self._refresh_tunable_cache)
 
         #: Simulated performance counters (decode shares, ST time, ...),
@@ -619,11 +612,13 @@ class Kernel:
         """Pick the best runnable task on ``cpu`` and switch to it."""
         rq = self.rqs[cpu]
         rq.need_resched = False
-        if self._coalesce_resched:
-            ev = rq.resched_event
-            if ev is not None:
-                rq.resched_event = None
-                ev.cancel()
+        # A still-pending resched event would fire as a
+        # need_resched=False no-op once this direct path (exit/block/
+        # migrate) has run: cancel it and free its bucket slot.
+        ev = rq.resched_event
+        if ev is not None:
+            rq.resched_event = None
+            ev.cancel()
         prev = rq.current
 
         # A still-runnable prev (preemption path) goes back to its queue —

@@ -1,6 +1,6 @@
 """Discrete-event simulation core.
 
-The engine is deliberately small: a monotonic clock, a binary-heap event
+The engine is deliberately small: a monotonic clock, a bucketed event
 queue with stable tie-breaking, and cancellable event handles.  Everything
 else in the stack (the simulated kernel, the POWER5 chip model, the MPI
 runtime) is built as callbacks on top of this engine.
@@ -10,38 +10,13 @@ Time is a float measured in **seconds** of simulated machine time.
 
 from repro.simcore.events import Event, EventQueue
 from repro.simcore.engine import Simulator, SimulationError
-from repro.simcore.fastcore import (
-    FastEvent,
-    FastEventQueue,
-    FastSimulator,
-    fastcore_enabled,
-)
-from repro.simcore.fastforward import (
-    ChainFamily,
-    TimerChain,
-    fastforward_enabled,
-)
-from repro.simcore.profile import (
-    EventProfiler,
-    activate_profiler,
-    deactivate_profiler,
-    get_active_profiler,
-)
+from repro.simcore.fastforward import ChainFamily, TimerChain
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
     "SimulationError",
-    "FastEvent",
-    "FastEventQueue",
-    "FastSimulator",
-    "fastcore_enabled",
     "ChainFamily",
     "TimerChain",
-    "fastforward_enabled",
-    "EventProfiler",
-    "activate_profiler",
-    "deactivate_profiler",
-    "get_active_profiler",
 ]

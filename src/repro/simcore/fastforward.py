@@ -13,7 +13,7 @@ This module generalizes the sharded runner's balance-timer parking
 
 * A :class:`TimerChain` is one periodic timer (one CPU's balance timer,
   one CPU's ``full_ticks`` tick).  It is either *armed* (a real event in
-  the heap — indistinguishable from the stock chain) or *parked* (no
+  the queue — indistinguishable from the stock chain) or *parked* (no
   event; only the next chain point is remembered).
 * A chain may be parked only while its **inertness witness** holds: a
   predicate over owner state proving the fire's body is a no-op (e.g.
@@ -29,13 +29,13 @@ This module generalizes the sharded runner's balance-timer parking
   (the witness held for the whole parked span — it can only break via
   an invalidation edge, which un-parks immediately).
 * A chain point landing exactly on ``now`` is ambiguous: did the serial
-  fire precede or follow the event that broke the witness?  The heap
+  fire precede or follow the event that broke the witness?  The queue
   orders same-instant events by priority, so the walk compares the
   chain's priority against :attr:`Simulator.cur_event_prio`: if the
   chain fires *earlier* (lower priority value) it would have observed
   the still-inert pre-edge state — the point is treated as already
   elided; otherwise the chain is re-armed at ``now`` and fires after
-  the current event, exactly as the serial heap would order it.
+  the current event, exactly as the serial queue would order it.
   (Equal priorities keep the re-arm-at-now behaviour; the only such
   collision — a balance fire on one kernel migrating work into
   another — is commutative, see ``cluster/sharded.py``.)
@@ -54,10 +54,10 @@ This module generalizes the sharded runner's balance-timer parking
   up to the change instant, then swaps the interval — reproducing that
   split exactly.
 
-The engine is wired behind one flag: the ``REPRO_FASTFORWARD``
-environment variable (default on), overridable per component
-(``Kernel(fastforward=...)``, ``Simulator(fastforward=...)``).  With the
-flag off, every consumer falls back to the stock always-armed chains.
+Elision is on by default.  ``Kernel(fastforward=False)`` builds the
+stock always-armed chains instead: the non-eliding reference that the
+twin-run elision tests and the ``event_storm_timers_stock`` bench row
+compare against.
 """
 
 from __future__ import annotations
@@ -67,29 +67,11 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.engine import Simulator
 
-import os
-
-#: Environment switch for the whole fast-forward engine (default on).
-ENV_FLAG = "REPRO_FASTFORWARD"
-
-_OFF_VALUES = ("", "0", "false", "off", "no")
-
-
-def fastforward_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the engine flag: an explicit ``override`` wins, then the
-    ``REPRO_FASTFORWARD`` environment variable, then the default (on)."""
-    if override is not None:
-        return bool(override)
-    value = os.environ.get(ENV_FLAG)
-    if value is None:
-        return True
-    return value.strip().lower() not in _OFF_VALUES
-
 
 class TimerChain:
     """One periodic timer chain (e.g. one CPU's balance timer).
 
-    ``event`` is the pending heap event while armed and ``None`` while
+    ``event`` is the pending queue event while armed and ``None`` while
     parked (or mid-fire); ``next_time`` is the next chain point — the
     instant the serial chain's next fire would land on — maintained by
     the owner's fire wrapper and by the family's walk helpers.
@@ -135,8 +117,8 @@ class ChainFamily:
         self.interval = interval
         self.priority = priority
         # Chain families are the only consumers of ``sim.cur_event_prio``
-        # (the re-arm tie walk).  Registering here lets the accelerated
-        # core skip priority tracking entirely until the first family
+        # (the re-arm tie walk).  Registering here lets the engine's
+        # storm stage skip priority tracking entirely until the first family
         # exists — including kernels constructed mid-run, whose chains
         # anchor at or after ``now`` and are therefore first observable
         # at an instant the storm stage re-checks this counter.
@@ -165,7 +147,7 @@ class ChainFamily:
         return chain
 
     def arm(self, chain: TimerChain) -> None:
-        """Push the chain's next fire on the heap (stock behaviour)."""
+        """Push the chain's next fire on the queue (stock behaviour)."""
         chain.event = self.sim.at(
             chain.next_time, chain.fire, priority=self.priority,
             label=chain.label,
@@ -177,7 +159,7 @@ class ChainFamily:
         every fire until the next invalidation edge is provably a no-op
         re-arm.  Also used at arm time for chains born inert (e.g. every
         task pinned when the balance chains start) — such a chain never
-        touches the heap at all."""
+        touches the queue at all."""
         self.parked += 1
 
     def kill(self, chain: TimerChain) -> None:

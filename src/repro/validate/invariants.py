@@ -7,7 +7,7 @@ along with every :class:`~repro.kernel.core_sched.Kernel` and checks,
 
 * **simcore** — the event clock never moves backwards, a cancelled
   event is never delivered, and the queue's O(1) live pending count
-  (what ``len()`` reports) agrees with a scan of the heap;
+  (what ``len()`` reports) agrees with a scan of the buckets;
 * **kernel core** — CPU-time conservation: the occupancy charged to
   tasks on a logical CPU never exceeds the wall-clock time that CPU has
   existed (and per-task ``sum_exec_runtime`` never exceeds ``now``);
@@ -90,12 +90,12 @@ class KernelOracles:
             )
         self._last_event_time = event.time
         # The O(1) live pending counter behind len(queue) must agree
-        # with an O(n) scan of the heap at every delivery boundary.
+        # with an O(n) bucket scan at every delivery boundary.
         tracked, actual = self.kernel.sim.queue.live_count_check()
         if tracked != actual:
             self._fail(
                 f"event-queue live count out of sync: tracked {tracked}, "
-                f"heap holds {actual} pending events"
+                f"buckets hold {actual} pending events"
             )
 
     # -- kernel core ---------------------------------------------------

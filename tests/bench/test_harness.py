@@ -17,6 +17,7 @@ from repro.bench.scenarios import (
     synth_scatter,
 )
 from repro.cli import main
+from tests.conftest import use_stock_kernels
 
 
 # ----------------------------------------------------------------------
@@ -45,13 +46,12 @@ def test_cluster_metbench_runs_both_placements():
 
 
 def test_cluster_metbench_elides_events(monkeypatch):
-    # Since PR 8 the kernel-level fast-forward engine parks inert balance
-    # timers in the serial cluster too, so serial and sharded elide
-    # identically; the stock (ff-off) run still pays for every fire.
-    monkeypatch.setenv("REPRO_FASTFORWARD", "1")
+    # The kernel-level fast-forward engine parks inert balance timers
+    # in the serial cluster too, so serial and sharded elide
+    # identically; the stock (fastforward=False) run pays for every fire.
     serial = cluster_metbench(n_nodes=4, iterations=1)
     sharded = cluster_metbench_sharded(n_nodes=4, iterations=1, shards=2)
-    monkeypatch.setenv("REPRO_FASTFORWARD", "0")
+    use_stock_kernels(monkeypatch)
     stock = cluster_metbench(n_nodes=4, iterations=1)
     assert 0 < serial < stock
     assert 0 < sharded <= stock
@@ -529,7 +529,7 @@ def test_cli_bench_unknown_scenario_errors(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Schema 2: round statistics, median diff basis, profiled pass
+# Schema 2: round statistics, median diff basis
 # ----------------------------------------------------------------------
 def test_records_carry_round_statistics(tiny_report):
     report, _ = tiny_report
@@ -538,11 +538,9 @@ def test_records_carry_round_statistics(tiny_report):
         assert 0 < rec.wall_s <= rec.wall_median_s
         assert rec.events_per_sec >= rec.events_per_sec_median > 0
         assert rec.wall_cv == 0.0  # single round: no spread
-        assert rec.profile is None  # not a --profile run
     data = report.to_dict()
     chain = data["benchmarks"]["event_storm_chain"]
     assert "wall_median_s" in chain and "wall_cv" in chain
-    assert "profile" not in chain  # optional block absent, not null
 
 
 def test_load_accepts_schema_1_reports(tmp_path):
@@ -601,33 +599,3 @@ def test_compare_wall_basis_uses_median_when_available():
     rows = harness.compare_reports(cur, base)  # event counts differ
     assert rows[0]["basis"] == "wall_median_s"
     assert rows[0]["ratio"] == pytest.approx(0.5)
-
-
-def test_profiled_run_attaches_event_type_table():
-    report = harness.run_suite(
-        quick=True,
-        rounds=1,
-        storm_events=2_000,
-        scenarios=["metbench_uniform"],
-        profiled=True,
-    )
-    profile = report.records["metbench_uniform"].profile
-    assert profile, "profiled pass produced no table"
-    # Kernel event types, namespaced by label prefix.
-    assert "resched" in profile and "phase" in profile
-    for row in profile.values():
-        assert row["count"] > 0
-        assert row["total_us"] >= 0.0
-    data = report.to_dict()
-    assert data["benchmarks"]["metbench_uniform"]["profile"] == profile
-
-
-def test_cli_bench_profile_prints_cost_table(tmp_path, capsys):
-    code, captured = _cli_bench(
-        tmp_path, capsys, "--label", "prof",
-        "--scenario", "event_storm_chain", "--profile",
-    )
-    assert code == 0
-    assert "per-event-type costs" in captured.out
-    data = harness.load_report(tmp_path / "BENCH_prof.json")
-    assert "profile" in data["benchmarks"]["event_storm_chain"]

@@ -7,7 +7,8 @@ pinned here are the ones where a wrong re-arm walk would silently shift
 a balance round or a tick:
 
 * witness invalidated at the *exact* instant of an elided chain point
-  (both heap orderings: invalidator before and after the chain fire),
+  (both same-instant orderings: invalidator before and after the chain
+  fire),
 * a tunable interval change delivered in the same batched instant as
   the witness-breaking event,
 * balance-chain re-arm after ``migrate()`` of a RUNNING task (extends
@@ -21,6 +22,7 @@ from repro.kernel.core_sched import EVPRIO_BALANCE, EVPRIO_TICK
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import TableDrivenModel
 from repro.trace.collector import TraceCollector
+from tests.conftest import use_stock_kernels
 
 
 def _kernel(fastforward):
@@ -224,9 +226,8 @@ def test_detector_workload_identical_with_fastforward(monkeypatch):
     # the balance chains correctly.)
     from repro.experiments import metbench
 
-    monkeypatch.setenv("REPRO_FASTFORWARD", "1")
     fast = metbench.run_one("adaptive", iterations=4, keep_trace=True)
-    monkeypatch.setenv("REPRO_FASTFORWARD", "0")
+    use_stock_kernels(monkeypatch)
     stock = metbench.run_one("adaptive", iterations=4, keep_trace=True)
     assert fast.exec_time == stock.exec_time
     assert fast.kernel.migrations == stock.kernel.migrations

@@ -1,29 +1,25 @@
-"""Slotted resched coalescing (accelerated core) and the
-``Simulator.defer`` drain-ordering contract underneath it.
+"""Slotted resched coalescing and the ``Simulator.defer`` drain-ordering
+contract underneath it.
 
 ``resched()`` is the same-slot collapse: any number of reschedule
 requests for one CPU within one delivery slot share a single canonical
-event (the dedup guard on ``rq.resched_event``).  On the accelerated
-core the direct-``__schedule`` paths (exit/block/migrate) additionally
-*cancel* a still-pending canonical event — it would deliver as a
+event (the dedup guard on ``rq.resched_event``).  The
+direct-``__schedule`` paths (exit/block/migrate) additionally *cancel*
+a still-pending canonical event — it would deliver as a
 ``need_resched=False`` no-op — and the deferred rate recompute must
 observe the instant's final state at the boundary of the event that did
 the scheduling, not ride on the elided duplicate.
 """
 
-import pytest
-
 from repro.kernel import Kernel
 from repro.kernel.policies import TaskState
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import TableDrivenModel
-from repro.simcore.engine import Simulator
 from tests.conftest import pure_compute_program
 
 
-def _kernel(core):
-    machine = Machine(MachineTopology(), TableDrivenModel())
-    return Kernel(machine=machine, sim=Simulator(core=core))
+def _kernel():
+    return Kernel(machine=Machine(MachineTopology(), TableDrivenModel()))
 
 
 def _pending_rescheds(sim, cpu):
@@ -31,9 +27,8 @@ def _pending_rescheds(sim, cpu):
     return [ev for _, ev in sim.queue.iter_entries() if ev.label == label]
 
 
-@pytest.mark.parametrize("core", ["heap", "fast"])
-def test_same_slot_rescheds_collapse_to_one_event(core):
-    k = _kernel(core)
+def test_same_slot_rescheds_collapse_to_one_event():
+    k = _kernel()
     k.spawn("a", pure_compute_program(0.5), cpu=0)
     k.spawn("b", pure_compute_program(0.5), cpu=0)
 
@@ -49,16 +44,11 @@ def test_same_slot_rescheds_collapse_to_one_event(core):
     assert observed["pending"] == 1
 
 
-@pytest.mark.parametrize("core", ["heap", "fast"])
-def test_coalesce_gate_follows_core(core):
-    assert _kernel(core)._coalesce_resched is (core == "fast")
-
-
 def test_direct_schedule_cancels_pending_duplicate_fastcore():
     """migrate() on a running task reaches __schedule directly; a
     resched event pending for the same slot is the elided duplicate —
-    the fast core cancels it and it never fires."""
-    k = _kernel("fast")
+    it is cancelled and never fires."""
+    k = _kernel()
     a = k.spawn("a", pure_compute_program(0.5), cpu=0)
 
     fires = []
@@ -89,33 +79,12 @@ def test_direct_schedule_cancels_pending_duplicate_fastcore():
     assert a.cpu == 2 and a.state in (TaskState.READY, TaskState.RUNNING)
 
 
-def test_heap_core_delivers_duplicate_as_noop():
-    """The heap core keeps the duplicate (lazy deletion gains nothing
-    from a cancel); it must deliver exactly once as a no-op."""
-    k = _kernel("heap")
-    a = k.spawn("a", pure_compute_program(0.5), cpu=0)
-
-    fires = []
-    orig_fire = k._resched_fire
-    k._resched_fire = lambda cpu: (fires.append((cpu, k.rqs[cpu].need_resched)), orig_fire(cpu))[1]
-
-    def provoke():
-        k.resched(0)
-        k.migrate(a, 2)
-
-    k.sim.at(0.01, provoke, priority=1)
-    k.sim.run(until=0.02)
-    # cpu0's duplicate fired with need_resched already consumed.
-    assert (0, False) in fires
-
-
-@pytest.mark.parametrize("core", ["heap", "fast"])
-def test_deferred_rate_drain_observes_coalesced_event(core):
+def test_deferred_rate_drain_observes_coalesced_event():
     """The rate recompute deferred during the coalescing __schedule must
     drain at the boundary of the event that scheduled (before the clock
     moves and before any duplicate's slot), seeing the final SMT state
     of the instant."""
-    k = _kernel(core)
+    k = _kernel()
     a = k.spawn("a", pure_compute_program(0.5), cpu=0)
 
     order = []
@@ -145,19 +114,22 @@ def test_deferred_rate_drain_observes_coalesced_event(core):
 
 
 def test_twin_run_migrate_under_pending_resched_identical():
-    """End-to-end equivalence of the coalesced path: identical final
-    clock and context-switch counts on both cores."""
-    results = {}
-    for core in ("heap", "fast"):
-        k = _kernel(core)
-        a = k.spawn("a", pure_compute_program(0.3), cpu=0)
-        k.spawn("b", pure_compute_program(0.3), cpu=0)
+    """End-to-end pin of the coalesced path: the final clock,
+    context-switch and migration counts match the values a run that
+    delivered the duplicate as a no-op produced, so cancelling it
+    changes nothing observable."""
+    k = _kernel()
+    a = k.spawn("a", pure_compute_program(0.3), cpu=0)
+    k.spawn("b", pure_compute_program(0.3), cpu=0)
 
-        def provoke(k=k, a=a):
-            k.resched(0)
-            k.migrate(a, 2)
+    def provoke():
+        k.resched(0)
+        k.migrate(a, 2)
 
-        k.sim.at(0.01, provoke, priority=1)
-        end = k.run()
-        results[core] = (end, k.context_switches, k.migrations)
-    assert results["heap"] == results["fast"]
+    k.sim.at(0.01, provoke, priority=1)
+    end = k.run()
+    assert (end, k.context_switches, k.migrations) == (
+        0.14786114285714286,
+        7,
+        1,
+    )

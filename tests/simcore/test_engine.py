@@ -187,6 +187,40 @@ def test_not_reentrant():
     assert "e" in err
 
 
+def test_step_inside_run_is_rejected():
+    """Regression: step() from inside a callback used to deliver the
+    next queued instant in the middle of the run's bucket drain — with
+    [a, b, c, d] at t=1.0 and e at t=2.0 the run fired a, e, b, c, d,
+    moved the clock back from 2.0 to 1.0 and counted 4 deliveries for
+    5.  step() is now refused while run() is delivering."""
+    sim = Simulator()
+    fired = []
+    clock = []
+    err = {}
+
+    def a():
+        fired.append("a")
+        try:
+            sim.step()
+        except SimulationError as exc:
+            err["e"] = exc
+
+    def log(name):
+        fired.append(name)
+        clock.append(sim.now)
+
+    sim.at(1.0, a)
+    for name in "bcd":
+        sim.at(1.0, lambda name=name: log(name))
+    sim.at(2.0, lambda: log("e"))
+    sim.run()
+    assert "not reentrant" in str(err["e"])
+    assert fired == ["a", "b", "c", "d", "e"]
+    assert clock == sorted(clock) == [1.0, 1.0, 1.0, 2.0]
+    assert sim.events_processed == 5
+    assert len(sim.queue) == 0
+
+
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(5):

@@ -72,7 +72,7 @@ def test_len_excludes_lazily_cancelled_events():
     ev = q.push(1.0, lambda: None)
     assert len(q) == 1
     ev.cancel()
-    assert len(q) == 0  # cancelled immediately; lazy heap removal is internal
+    assert len(q) == 0  # cancelled immediately; lazy removal is internal
     assert q.pop() is None
     assert len(q) == 0
 
@@ -215,16 +215,17 @@ def test_property_interleaved_ops_match_reference_model(ops):
 
 
 def test_mass_cancellation_compacts_heap():
-    """Cancelling most of a large queue rebuilds the heap without the
-    corpses; survivors still pop in exact (time, priority, seq) order."""
+    """Cancelling most of a large queue rebuilds the buckets and the
+    timestamp heap without the corpses; survivors still pop in exact
+    (time, priority, seq) order."""
     q = EventQueue()
     handles = [q.push(float(i), lambda: None) for i in range(500)]
     for i, h in enumerate(handles):
         if i % 5:  # cancel 80%
             h.cancel()
     assert len(q) == 100
-    # Bulk compaction kicked in: the heap no longer carries ~400 corpses.
-    assert len(q._heap) < 200
+    # Bulk compaction kicked in: no longer ~400 corpses on board.
+    assert len(q._buckets) < 200 and len(q._times) < 200
     out = []
     while (ev := q.pop()) is not None:
         out.append(ev.time)
@@ -234,7 +235,7 @@ def test_mass_cancellation_compacts_heap():
 
 def test_compaction_keeps_live_count_exact():
     """Interleaved push/cancel churn across the compaction threshold
-    never desynchronizes the O(1) live counter from the heap."""
+    never desynchronizes the O(1) live counter from the buckets."""
     q = EventQueue()
     handles = []
     for round_ in range(30):

@@ -1,50 +1,29 @@
-"""Fast-forward engine primitives: flag resolution, batched same-instant
-delivery, and the ChainFamily park/re-arm/reap/retime arithmetic."""
+"""Fast-forward engine primitives: the kernel default, batched
+same-instant delivery, and the ChainFamily park/re-arm/reap/retime
+arithmetic."""
 
 import pytest
 
+from repro.kernel import Kernel
 from repro.simcore.engine import SimulationError, Simulator
-from repro.simcore.fastforward import ChainFamily, fastforward_enabled
+from repro.simcore.fastforward import ChainFamily
 
 
 # ----------------------------------------------------------------------
-# Flag resolution
+# Default
 # ----------------------------------------------------------------------
-def test_flag_defaults_on(monkeypatch):
-    monkeypatch.delenv("REPRO_FASTFORWARD", raising=False)
-    assert fastforward_enabled() is True
-
-
-@pytest.mark.parametrize("value", ["", "0", "false", "off", "no", " OFF "])
-def test_flag_env_off_values(monkeypatch, value):
-    monkeypatch.setenv("REPRO_FASTFORWARD", value)
-    assert fastforward_enabled() is False
-
-
-@pytest.mark.parametrize("value", ["1", "true", "on", "yes"])
-def test_flag_env_on_values(monkeypatch, value):
-    monkeypatch.setenv("REPRO_FASTFORWARD", value)
-    assert fastforward_enabled() is True
-
-
-def test_flag_override_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTFORWARD", "0")
-    assert fastforward_enabled(True) is True
-    monkeypatch.setenv("REPRO_FASTFORWARD", "1")
-    assert fastforward_enabled(False) is False
-
-
-def test_simulator_records_flag(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTFORWARD", "0")
-    assert Simulator().fastforward is False
-    assert Simulator(fastforward=True).fastforward is True
+def test_flag_defaults_on():
+    # Elision is the shipped configuration; fastforward=False is only
+    # the non-eliding reference for twin runs.
+    assert Kernel().fastforward is True
+    assert Kernel(fastforward=False).fastforward is False
 
 
 # ----------------------------------------------------------------------
 # Batched same-instant delivery
 # ----------------------------------------------------------------------
 def test_batched_delivery_preserves_priority_order():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     sim.at(1.0, lambda: order.append("p5"), priority=5)
     sim.at(1.0, lambda: order.append("p0"), priority=0)
@@ -57,7 +36,7 @@ def test_batched_delivery_preserves_priority_order():
 def test_batched_delivery_sees_events_scheduled_at_same_instant():
     # A handler scheduling more work at the current instant must have it
     # delivered inside the same batch, in priority order.
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
 
     def first():
@@ -71,7 +50,7 @@ def test_batched_delivery_sees_events_scheduled_at_same_instant():
 
 
 def test_batched_delivery_skips_events_cancelled_within_batch():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     victim = sim.at(1.0, lambda: order.append("victim"), priority=5)
     sim.at(1.0, lambda: victim.cancel(), priority=0)
@@ -81,7 +60,7 @@ def test_batched_delivery_skips_events_cancelled_within_batch():
 
 
 def test_stop_inside_batch_halts_before_next_event():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     sim.at(1.0, lambda: (order.append("a"), sim.stop()), priority=0)
     sim.at(1.0, lambda: order.append("b"), priority=1)
@@ -91,7 +70,7 @@ def test_stop_inside_batch_halts_before_next_event():
 
 
 def test_stop_when_inside_batch_halts_before_next_event():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     order = []
     sim.at(1.0, lambda: order.append("a"), priority=0)
     sim.at(1.0, lambda: order.append("b"), priority=1)
@@ -100,7 +79,7 @@ def test_stop_when_inside_batch_halts_before_next_event():
 
 
 def test_batched_loop_enforces_event_limit():
-    sim = Simulator(max_events=10, fastforward=True)
+    sim = Simulator(max_events=10)
 
     def rearm():
         sim.at(sim.now, rearm)
@@ -111,21 +90,22 @@ def test_batched_loop_enforces_event_limit():
 
 
 def test_cur_event_prio_visible_during_delivery():
-    sim = Simulator(fastforward=True, core="heap")
+    # The general stage (a horizon) tracks every event's priority.
+    sim = Simulator()
     seen = []
     sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
     sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
-    sim.run()
+    sim.run(until=2.0)
     assert seen == [4, 7]
     assert sim.cur_event_prio is None
 
 
 def test_cur_event_prio_visible_with_ff_users_fastcore():
-    # The accelerated core tracks the delivering event's priority only
-    # while fast-forward chain families are registered (``_ff_users``) —
-    # they are the sole consumer of ``cur_event_prio``.  Kernels bump
-    # the counter at construction.
-    sim = Simulator(fastforward=True, core="fast")
+    # The storm stage tracks the delivering event's priority only while
+    # fast-forward chain families are registered (``_ff_users``) — they
+    # are the sole consumer of ``cur_event_prio``.  Kernels bump the
+    # counter at construction.
+    sim = Simulator()
     sim._ff_users += 1
     seen = []
     sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
@@ -159,7 +139,7 @@ def _serial_walk(anchor, interval, now):
 
 
 def test_reinstate_walk_matches_serial_float_accumulation():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)  # 0.1 is inexact in binary
     chain = _parked_chain(fam, anchor=0.05)
     armed = {}
@@ -182,7 +162,7 @@ def test_reinstate_tie_elides_point_when_chain_fires_earlier():
     # chain fire at the same instant preceded it (and was a no-op), so
     # the collided point is already elided and the re-arm lands one
     # interval later.
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.25, priority=6)
     chain = _parked_chain(fam, anchor=0.25)
     sim.at(0.75, lambda: fam.unpark_ready(), priority=8)  # == chain point
@@ -192,10 +172,10 @@ def test_reinstate_tie_elides_point_when_chain_fires_earlier():
 
 
 def test_reinstate_tie_rearms_at_now_when_chain_fires_later():
-    # Priority 1 < chain priority 6: the serial heap orders the chain
+    # Priority 1 < chain priority 6: the serial queue orders the chain
     # fire after the invalidating event, so it must be re-armed at the
     # collided instant itself.
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.25, priority=6)
     chain = _parked_chain(fam, anchor=0.25)
     fired = []
@@ -206,7 +186,7 @@ def test_reinstate_tie_rearms_at_now_when_chain_fires_later():
 
 
 def test_unpark_ready_skips_still_inert_chains():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim)
     inert_chain = _parked_chain(fam, 0.05, inert=lambda: True, key="inert")
     live_chain = _parked_chain(fam, 0.05, inert=lambda: False, key="live")
@@ -218,7 +198,7 @@ def test_unpark_ready_skips_still_inert_chains():
 
 
 def test_dead_window_reaps_chains_whose_points_fell_inside():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)
     doomed = _parked_chain(fam, anchor=0.35, key="doomed")
     survivor = _parked_chain(fam, anchor=0.62, key="survivor")
@@ -243,7 +223,7 @@ def test_dead_window_reaps_chains_whose_points_fell_inside():
 
 
 def test_mark_dead_first_death_wins():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim)
     fam.mark_dead(1.0)
     fam.mark_dead(2.0)
@@ -251,7 +231,7 @@ def test_mark_dead_first_death_wins():
 
 
 def test_retime_walks_old_interval_up_to_change_instant():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)
     chain = _parked_chain(fam, anchor=0.05)
 
@@ -267,7 +247,7 @@ def test_retime_walks_old_interval_up_to_change_instant():
 
 
 def test_retime_same_interval_is_noop():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim, interval=0.1)
     chain = _parked_chain(fam, anchor=0.05)
     fam.retime(0.1)
@@ -275,7 +255,7 @@ def test_retime_same_interval_is_noop():
 
 
 def test_dissolve_cancels_armed_and_forgets_parked():
-    sim = Simulator(fastforward=True)
+    sim = Simulator()
     fam = _family(sim)
     armed = fam.add("armed", "chain/armed", 1.0, lambda: False)
     armed.fire = lambda: None

@@ -1,18 +1,16 @@
 """Corpse/live counter invariants under adversarial interleavings.
 
-The queue answers ``len()`` from an O(1) ``_live`` counter and schedules
-bulk compaction from an O(1) ``_corpses`` counter.  Four code paths
-mutate those counters: ``Event.cancel`` (with its compaction threshold),
-``EventQueue.pop``/``peek_time``/``clear``, and the three hand-flattened
-lazy-pop sites in ``Simulator.run`` (batched, unbatched, general).  This
-suite drives random interleavings — including ``clear()`` fired from
-inside a handler mid-drain and cancels of other pending events from
-inside a handler — and asserts after every step that both counters match
-an O(n) scan of the heap.
-
-This suite pins ``core="heap"``: it asserts heap-representation
-internals (``_heap``, ``_live``).  The accelerated core's analogous
-invariants live in ``test_fastcore_queue_property.py``.
+The queue answers ``len()`` from O(1) push/deliver/cancel counters and
+schedules bulk compaction from an O(1) ``_corpses`` counter.  Those
+counters are mutated by ``Event.cancel`` (with its compaction
+threshold), ``EventQueue.pop``/``peek_time``/``clear``/``_compact``, and
+the two stages of ``Simulator.run``: the storm stage, which batches its
+delivery counts per instant (lean body, and the body with a
+``stop_when`` predicate), and the per-event general stage (a horizon).
+This suite drives random interleavings — including ``clear()`` fired
+from inside a handler mid-drain and cancels of other pending events
+from inside a handler — and asserts after every step that the counters
+match an O(n) bucket scan.
 """
 
 import pytest
@@ -23,12 +21,26 @@ from repro.simcore.events import EventQueue
 
 
 def check_counters(q: EventQueue) -> None:
-    """Assert the O(1) counters against an O(n) heap scan."""
-    live = sum(1 for e in q._heap if not e[3].cancelled)
-    corpses = sum(1 for e in q._heap if e[3].cancelled)
-    assert len(q) == q._live == live
-    assert q._corpses == corpses
-    assert q._corpses >= 0
+    """Assert the O(1) counters against an O(n) bucket scan.
+
+    Mid-drain, the storm stage's in-flight bucket holds events already
+    delivered (queue marker ``False``) that its batched counters only
+    fold in at the end of the instant, and the general stage drops the
+    corpses it has stepped over only at the end of the instant; outside
+    a run both must be exact."""
+    tracked, actual = q.live_count_check()
+    b = q._drain_bucket
+    in_flight = 0 if b is None else sum(1 for ev in b if ev[4] is False)
+    assert len(q) == tracked == actual + in_flight
+    corpses = 0
+    for b in q._buckets.values():
+        for ev in b if type(b) is list else (b,):
+            if ev[4] is None:
+                corpses += 1
+    if q._draining:
+        assert 0 <= q._corpses <= corpses
+    else:
+        assert q._corpses == corpses
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +96,7 @@ def test_property_compaction_threshold_never_drifts(n_cancel, n_keep):
 
 
 # ----------------------------------------------------------------------
-# Engine-loop interleavings: the three lazy-pop sites
+# Engine-loop interleavings: both run stages
 # ----------------------------------------------------------------------
 def _storm(sim, n_events, clear_at, cancel_stride):
     """Schedule a burst where handler ``clear_at`` clears the queue
@@ -111,32 +123,39 @@ def _storm(sim, n_events, clear_at, cancel_stride):
     return pending
 
 
-@pytest.mark.parametrize("fastforward", [True, False])
+def _predicate(with_predicate):
+    """A never-true ``stop_when`` selects the storm stage's per-event
+    body; ``None`` keeps its lean body."""
+    return (lambda: False) if with_predicate else None
+
+
+@pytest.mark.parametrize("with_predicate", [True, False])
 @pytest.mark.parametrize("clear_at", [-1, 0, 17, 39])
 @pytest.mark.parametrize("cancel_stride", [0, 1, 3])
-def test_engine_drain_counters(fastforward, clear_at, cancel_stride):
-    sim = Simulator(fastforward=fastforward, core="heap")
+def test_engine_drain_counters(with_predicate, clear_at, cancel_stride):
+    sim = Simulator()
     _storm(sim, 40, clear_at, cancel_stride)
-    sim.run()
+    sim.run(stop_when=_predicate(with_predicate))
     check_counters(sim.queue)
     assert len(sim.queue) == 0
 
 
-@pytest.mark.parametrize("fastforward", [True, False])
-def test_engine_general_path_counters(fastforward):
-    # until= forces the general (peek-first) path regardless of the flag.
-    sim = Simulator(fastforward=fastforward, core="heap")
+@pytest.mark.parametrize("with_predicate", [True, False])
+def test_engine_general_path_counters(with_predicate):
+    # until= forces the general (per-event) stage with or without a
+    # stop_when predicate.
+    sim = Simulator()
     pending = _storm(sim, 40, clear_at=-1, cancel_stride=2)
-    sim.run(until=0.004)
+    sim.run(until=0.004, stop_when=_predicate(with_predicate))
     check_counters(sim.queue)
-    sim.run(until=1.0)
+    sim.run(until=1.0, stop_when=_predicate(with_predicate))
     check_counters(sim.queue)
     assert len(sim.queue) == 0
     assert all(not ev.active or ev._queue is None for ev in pending)
 
 
 def test_cancel_currently_firing_event_is_counter_neutral():
-    sim = Simulator(core="heap")
+    sim = Simulator()
     holder = []
 
     def fire():
@@ -148,14 +167,14 @@ def test_cancel_currently_firing_event_is_counter_neutral():
     check_counters(sim.queue)
 
 
-@pytest.mark.parametrize("fastforward", [True, False])
-def test_mass_cancel_inside_handler_compacts_mid_drain(fastforward):
-    # One handler cancels 100 future events in a burst, tripping the
-    # corpses>64 compaction threshold from inside Event.cancel while
-    # Simulator.run holds its local binding to the heap list.  The
-    # rebuild mutates the list in place, so the drain must continue
-    # seamlessly and the counters must survive the rebuild.
-    sim = Simulator(fastforward=fastforward, core="heap")
+@pytest.mark.parametrize("with_predicate", [True, False])
+def test_mass_cancel_inside_handler_defers_compaction(with_predicate):
+    # One handler cancels 100 future events in a burst, past the
+    # corpses>64 compaction threshold.  Compaction is deferred while the
+    # run drains (removal would desynchronize the live bucket
+    # iteration): the drain skips the corpses, the counters stay exact,
+    # and a compaction after the run finds nothing left to drop.
+    sim = Simulator()
     fired = []
     doomed = [
         sim.at(1.0 + i * 0.001, lambda i=i: fired.append(i))
@@ -167,26 +186,26 @@ def test_mass_cancel_inside_handler_compacts_mid_drain(fastforward):
         for ev in doomed:
             ev.cancel()
         check_counters(sim.queue)
-        # Compaction ran inside cancel at the 65th corpse; the later
-        # cancels re-accumulate but never reach the original 100.
-        assert sim.queue._corpses < len(doomed)
+        assert sim.queue._corpses == len(doomed)
 
     sim.at(0.5, massacre)
-    sim.run()
+    sim.run(stop_when=_predicate(with_predicate))
     assert fired == ["survivor"]
     assert survivor._queue is None
     check_counters(sim.queue)
+    assert sim.queue._corpses == 0
 
 
 def test_clear_during_batched_same_instant_group():
     # Three events at one instant; the first clears the queue.  The
-    # batched loop's same-instant continuation must not double-count
+    # storm stage's batched bucket reconciliation must not double-count
     # the two entries clear() already removed.
-    sim = Simulator(fastforward=True, core="heap")
+    sim = Simulator()
     fired = []
     sim.at(0.0, lambda: (fired.append("a"), sim.queue.clear()), priority=0)
     sim.at(0.0, lambda: fired.append("b"), priority=1)
     sim.at(0.0, lambda: fired.append("c"), priority=2)
     sim.run()
     assert fired == ["a"]
+    assert sim.events_processed == 1
     check_counters(sim.queue)

@@ -1,24 +1,23 @@
-"""Differential property suite: ``FastEventQueue`` against the heap
-``EventQueue`` under random operation interleavings.
+"""Property suite: the bucketed ``EventQueue`` against a sorted-list
+model under random operation interleavings.
 
-The accelerated queue is a drop-in replacement for the heap queue, so
-the strongest oracle is the heap itself: drive both queues through the
-same randomized ``push``/``cancel``/``pop``/``peek``/``clear``/
-``compact`` sequences and require event-for-event agreement — same pop
-order (time, priority, seq), same ``peek_time``, same ``len()``, same
-``live_count_check`` live totals — at every step.  The bucket queue's
-own counter invariants (derived ``len``, corpse accounting) are checked
-against an O(n) scan after each step, mirroring
-``test_queue_counter_invariants`` for the heap representation.
+The model (:mod:`tests.simcore.queue_model`) states the queue's contract
+in the plainest form: drive both through the same randomized ``push``/
+``cancel``/``pop``/``peek``/``clear``/``compact`` sequences and require
+event-for-event agreement — same pop order (time, priority, seq), same
+``peek_time``, same ``len()``, same live ``iter_entries`` view — at every
+step.  The bucket queue's own counter invariants (derived ``len``,
+corpse accounting) are checked against an O(n) scan after each step.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.simcore.engine import Simulator
 from repro.simcore.events import EventQueue
-from repro.simcore.fastcore import FastEventQueue
+from tests.simcore.queue_model import ModelQueue
 
 
-def _scan_check(q: FastEventQueue) -> None:
+def _scan_check(q: EventQueue) -> None:
     """Assert the derived O(1) length against an O(n) bucket scan."""
     live = 0
     corpses = 0
@@ -45,67 +44,69 @@ _OPS = st.tuples(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_OPS, max_size=120))
-def test_property_fast_queue_agrees_with_heap(ops):
-    heap = EventQueue()
-    fast = FastEventQueue()
-    pairs = []  # (heap Event, FastEvent) handles, aligned
+def test_property_queue_agrees_with_model(ops):
+    model = ModelQueue()
+    q = EventQueue()
+    pairs = []  # (model entry, Event) handles, aligned
     t = 0.0
     for op, arg in ops:
         if op in ("push", "pushprio"):
             t += (arg % 5) * 0.25  # % 5 == 0 repeats the instant
             prio = (arg % 7) if op == "pushprio" else 0
-            he = heap.push(t, lambda: None, priority=prio, label="x")
-            fe = fast.push(t, lambda: None, priority=prio, label="x")
-            assert fe.time == he.time == t
-            assert fe.priority == he.priority == prio
-            assert fe.seq == he.seq
-            pairs.append((he, fe))
+            me = model.push(t, priority=prio, label="x")
+            ev = q.push(t, lambda: None, priority=prio, label="x")
+            assert ev.time == me.time == t
+            assert ev.priority == me.priority == prio
+            assert ev.seq == me.seq
+            pairs.append((me, ev))
         elif op == "cancel" and pairs:
-            he, fe = pairs[arg % len(pairs)]
-            he.cancel()
-            fe.cancel()
-            assert fe.cancelled == he.cancelled
+            me, ev = pairs[arg % len(pairs)]
+            me.cancel()
+            ev.cancel()
+            assert ev.cancelled == me.cancelled
         elif op == "pop":
-            he = heap.pop()
-            fe = fast.pop()
-            if he is None:
-                assert fe is None
+            me = model.pop()
+            ev = q.pop()
+            if me is None:
+                assert ev is None
             else:
-                assert fe is not None
-                assert (fe.time, fe.priority, fe.seq) == (
-                    he.time,
-                    he.priority,
-                    he.seq,
+                assert ev is not None and not ev.cancelled
+                assert (ev.time, ev.priority, ev.seq) == (
+                    me.time,
+                    me.priority,
+                    me.seq,
                 )
-                assert not fe.cancelled and not he.cancelled
         elif op == "peek":
-            assert fast.peek_time() == heap.peek_time()
+            assert q.peek_time() == model.peek_time()
         elif op == "clear":
-            heap.clear()
-            fast.clear()
+            model.clear()
+            q.clear()
         elif op == "compact":
-            heap._compact()
-            fast._compact()
-        assert len(fast) == len(heap)
-        _scan_check(fast)
+            model.compact()
+            q._compact()
+        assert len(q) == len(model)
+        _scan_check(q)
 
+    # Cancelled flags agree for every handle, popped and cleared included.
+    for me, ev in pairs:
+        assert ev.cancelled == me.cancelled
     # Drain both to exhaustion: total order must agree to the end.
     while True:
-        he = heap.pop()
-        fe = fast.pop()
-        if he is None:
-            assert fe is None
+        me = model.pop()
+        ev = q.pop()
+        if me is None:
+            assert ev is None
             break
-        assert (fe.time, fe.priority, fe.seq) == (he.time, he.priority, he.seq)
+        assert (ev.time, ev.priority, ev.seq) == (me.time, me.priority, me.seq)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_OPS, max_size=80))
-def test_property_iter_entries_agrees_with_heap(ops):
-    """``iter_entries`` (the sharded runner's scan API) yields the same
-    live (time, label, seq) multiset on both representations."""
-    heap = EventQueue()
-    fast = FastEventQueue()
+def test_property_iter_entries_agrees_with_model(ops):
+    """``iter_entries`` (the sharded runner's scan API) yields the live
+    (time, label, seq) multiset of the model."""
+    model = ModelQueue()
+    q = EventQueue()
     pairs = []
     t = 0.0
     for op, arg in ops:
@@ -115,32 +116,35 @@ def test_property_iter_entries_agrees_with_heap(ops):
             lbl = f"l{arg % 3}"
             pairs.append(
                 (
-                    heap.push(t, lambda: None, priority=prio, label=lbl),
-                    fast.push(t, lambda: None, priority=prio, label=lbl),
+                    model.push(t, priority=prio, label=lbl),
+                    q.push(t, lambda: None, priority=prio, label=lbl),
                 )
             )
         elif op == "cancel" and pairs:
-            he, fe = pairs[arg % len(pairs)]
-            he.cancel()
-            fe.cancel()
+            me, ev = pairs[arg % len(pairs)]
+            me.cancel()
+            ev.cancel()
         elif op == "pop":
-            heap.pop()
-            fast.pop()
+            model.pop()
+            q.pop()
+        elif op == "peek":
+            model.peek_time()
+            q.peek_time()
         elif op == "clear":
-            heap.clear()
-            fast.clear()
+            model.clear()
+            q.clear()
         elif op == "compact":
-            heap._compact()
-            fast._compact()
-    h_view = sorted((tm, ev.label, ev.seq) for tm, ev in heap.iter_entries())
-    f_view = sorted((tm, ev.label, ev.seq) for tm, ev in fast.iter_entries())
-    assert f_view == h_view
+            model.compact()
+            q._compact()
+    m_view = sorted((tm, ev.label, ev.seq) for tm, ev in model.iter_entries())
+    q_view = sorted((tm, ev.label, ev.seq) for tm, ev in q.iter_entries())
+    assert q_view == m_view
 
 
 def test_cancel_after_delivery_is_inert():
     """Cancelling an already-popped event must not corrupt counters
     (the kernel cancels phase events that may have just delivered)."""
-    q = FastEventQueue()
+    q = EventQueue()
     ev = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
     popped = q.pop()
@@ -158,15 +162,14 @@ def test_same_instant_append_after_partial_drain_keeps_order():
     leaves a nonzero-priority event at a bucket's tail, a later
     priority-0 push at the same instant outranks that tail and must
     flag the bucket — through every inlined push site (queue.push,
-    FastSimulator.at, FastSimulator.after)."""
-    from repro.simcore.fastcore import FastSimulator
+    Simulator.at, Simulator.after)."""
 
     def sites():
-        q = FastEventQueue()
+        q = EventQueue()
         yield q, lambda prio, lbl: q.push(0.25, lambda: None, priority=prio, label=lbl)
-        sim = FastSimulator()
+        sim = Simulator()
         yield sim.queue, lambda prio, lbl: sim.at(0.25, lambda: None, priority=prio, label=lbl)
-        sim2 = FastSimulator()
+        sim2 = Simulator()
         yield sim2.queue, lambda prio, lbl: sim2.after(0.25, lambda: None, priority=prio, label=lbl)
 
     for q, push in sites():
@@ -184,7 +187,7 @@ def test_in_order_priority_appends_do_not_flag():
     """A priority push that lands in order (p5 after p5, or p5 after a
     lower-priority tail) must not mark the bucket unsorted — barrier
     instants rely on this to avoid one tail sort per delivered event."""
-    q = FastEventQueue()
+    q = EventQueue()
     q.push(1.0, lambda: None, priority=1, label="w1")
     q.push(1.0, lambda: None, priority=1, label="w2")  # in order: no flag
     q.push(1.0, lambda: None, priority=5, label="r1")  # in order: no flag
@@ -198,7 +201,7 @@ def test_in_order_priority_appends_do_not_flag():
 def test_singleton_bucket_promotion_keeps_order():
     """Second push at an instant promotes the singleton to a list; a
     priority push must still deliver in (priority, seq) order."""
-    q = FastEventQueue()
+    q = EventQueue()
     order = []
     q.push(1.0, lambda: order.append("p5"), priority=5)
     q.push(1.0, lambda: order.append("p0a"), priority=0)
