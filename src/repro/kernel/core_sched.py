@@ -16,8 +16,11 @@ DESIGN §8): rate changes within one delivered event are batched into a
 single per-core drain, an unchanged rate leaves the pending completion
 event untouched, and a slowdown lets the now-early event ride in the
 heap — an epoch counter marks it stale and delivery re-pushes one
-corrected event at the authoritative ETA.  Only a speedup, whose true
-completion would precede the pending event, pays a cancel + re-push.
+corrected event at the authoritative ETA.  A speedup, whose true
+completion would precede the pending event, pays a cancel + re-push;
+so does a slowdown of a phase armed this very instant (nothing banked
+since arming), where riding would coalesce nothing and only cost a
+stale delivery.
 """
 
 from __future__ import annotations
@@ -861,6 +864,10 @@ class Kernel:
         * slowdown: the true ETA moves later; the pending event rides,
           the epoch bump marks it stale, and its delivery re-pushes one
           corrected event at :attr:`Task.phase_eta`.
+        * slowdown of a phase armed this instant (its anchor is not
+          behind ``now``, so nothing was banked since arming — e.g. the
+          second SMT sibling installed at a barrier release): a ride
+          would only buy a stale delivery, so cancel and re-push now.
         * stall (rate 0): no completion is owed until a future change.
         """
         now = self.sim.now
@@ -894,8 +901,10 @@ class Kernel:
             return
         if eta == task.phase_eta:
             return  # authoritative ETA unchanged: free ride
-        if eta < ev.time:
-            # Speedup past the pending event: it would fire too late.
+        if eta < ev.time or started >= now:
+            # Speedup past the pending event (it would fire too late),
+            # or a phase armed this instant, where riding coalesces
+            # nothing and costs a stale delivery.
             task.cancel_phase_event()
             epoch = task.phase_epoch + 1
             task.phase_epoch = epoch
@@ -907,8 +916,9 @@ class Kernel:
                 label=task.phase_label,
             )
             return
-        # Slowdown: the pending event fires first; mark it stale and let
-        # delivery re-push at the authoritative ETA.
+        # Slowdown after progress accrued: the pending event fires
+        # first; mark it stale and let delivery re-push at the
+        # authoritative ETA.
         task.phase_epoch += 1
         task.phase_eta = eta
 

@@ -158,7 +158,7 @@ class MPIRuntime:
             msg.arrival_time,
             lambda: self._deliver(msg),
             priority=_EVPRIO_DELIVERY,
-            label=f"mpi-deliver/{src}->{dst}",
+            label="mpi-deliver",
         )
         return msg
 
@@ -259,6 +259,11 @@ class MPIRuntime:
         reduction tree.  (This also means every rank observes a proper
         wait/wakeup cycle per collective, which is what the HPCSched
         detector counts iterations with.)  Always returns ``False``.
+
+        A completed collective schedules *one* release event, a tree
+        delay after the last arrival, that wakes every waiter in arrival
+        order — the same order N per-rank release events at one
+        (time, priority) would fire in, at the cost of one event.
         """
         if rank not in comm:
             raise ValueError(f"rank {rank} not in {comm!r}")
@@ -272,15 +277,19 @@ class MPIRuntime:
             # Complete: release everyone after the tree latency.
             self._collective_round[round_key] = rnd + 1
             del self._collectives[key]
-            delay = self._tree_delay(comm.size)
-            for waiter in cs.waiters:
-                self.kernel.sim.after(
-                    delay,
-                    lambda r=waiter: self._wake(r),
-                    priority=_EVPRIO_DELIVERY,
-                    label=f"mpi-{kind}-release/{waiter}",
-                )
+            waiters = cs.waiters
+            self.kernel.sim.after(
+                self._tree_delay(comm.size),
+                lambda: self._release(waiters),
+                priority=_EVPRIO_DELIVERY,
+                label=f"mpi-{kind}-release",
+            )
         return False
+
+    def _release(self, waiters: List[int]) -> None:
+        """Wake a completed collective's waiters, in arrival order."""
+        for rank in waiters:
+            self._wake(rank)
 
     def _tree_delay(self, size: int) -> float:
         depth = max(1, (size - 1).bit_length())

@@ -131,35 +131,67 @@ def test_live_total_tracks_all_nodes():
     assert all(n.kernel.live_tasks == 0 for n in c.nodes)
 
 
-def test_run_freezes_setup_objects_and_unfreezes_on_return():
-    c = Cluster(n_nodes=2, heuristic_factory=None)
-    ranks = 2 * c.cpus_per_node
-    seen = []
-
+def _gc_observer(seen):
     def observer(mpi: MPIRank):
         def prog():
-            seen.append(gc.get_freeze_count())
+            seen.append(gc.isenabled())
             yield mpi.compute(0.01)
             yield mpi.barrier()
 
         return prog()
 
-    programs = _barrier_workers(ranks - 1, iterations=1) + [observer]
+    return observer
+
+
+def test_run_disables_gc_and_restores_it_on_return():
+    assert gc.isenabled()
+    c = Cluster(n_nodes=2, heuristic_factory=None)
+    ranks = 2 * c.cpus_per_node
+    seen = []
+    programs = _barrier_workers(ranks - 1, iterations=1) + [_gc_observer(seen)]
     c.launch(programs, block_placement(ranks, 2, c.cpus_per_node))
     c.run()
     assert c._live_total == 0
-    assert seen and seen[0] > 0  # the setup graph was frozen mid-run
-    assert gc.get_freeze_count() == 0
+    assert seen == [False]  # the rank program ran with the collector off
+    assert gc.isenabled()
 
 
-def test_run_unfreezes_gc_on_error():
+def test_run_restores_gc_on_error():
     c = Cluster(n_nodes=2, heuristic_factory=None)
     ranks = 2 * c.cpus_per_node
     c.launch(_barrier_workers(ranks), block_placement(ranks, 2, c.cpus_per_node))
     c.sim.max_events = 5  # trip the livelock limit mid-run
     with pytest.raises(SimulationError, match="event limit"):
         c.run()
-    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_run_keeps_gc_off_when_caller_disabled_it():
+    c = Cluster(n_nodes=2, heuristic_factory=None)
+    ranks = 2 * c.cpus_per_node
+    c.launch(_barrier_workers(ranks), block_placement(ranks, 2, c.cpus_per_node))
+    gc.disable()
+    try:
+        c.run()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_collector_off_run_leaves_no_cyclic_garbage():
+    """What makes running with the collector off safe: a barrier run
+    creates no reference cycles, so reference counting alone frees
+    everything it drops."""
+    c = Cluster(n_nodes=2)
+    ranks = 2 * c.cpus_per_node
+    c.launch(
+        _barrier_workers(ranks, iterations=3),
+        block_placement(ranks, 2, c.cpus_per_node),
+    )
+    gc.collect()
+    c.run()
+    assert c._live_total == 0
+    assert gc.collect() == 0
 
 
 def test_cluster_tracing_and_pmu_opt_in():

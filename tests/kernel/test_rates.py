@@ -3,6 +3,8 @@ progress banking across rate changes."""
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.cluster.gang import block_placement
 from repro.kernel import Compute, Sleep
 from repro.power5.perfmodel import CPU_BOUND, MIXED
 from tests.conftest import pure_compute_program
@@ -180,6 +182,57 @@ def test_preempt_cancels_stale_ridden_event(quiet_kernel):
     assert victim.sum_exec_runtime == pytest.approx(
         t_end - rt_window, rel=1e-3
     )
+
+
+def test_same_instant_sibling_install_rearms_without_riding(quiet_kernel):
+    """The first of two SMT siblings installed at one instant is armed
+    at the ST rate, then slowed by the second install before any work
+    is banked: its completion is re-pushed at once rather than left to
+    ride to a stale delivery."""
+    k = quiet_kernel
+    first = k.spawn("first", pure_compute_program(1.0), cpu=0)
+    second = k.spawn("second", pure_compute_program(1.0), cpu=1)
+    k.sim.run(until=0.0)
+    assert first.phase_rate == second.phase_rate == 1.0
+    for task in (first, second):
+        assert task.phase_event is not None
+        assert task.phase_event.time == task.phase_eta
+
+
+def test_barrier_ladder_delivers_no_stale_phase_events():
+    """Every rate change of a barrier ladder lands at a release or an
+    arrival, so no phase-completion delivery is a stale ridden one."""
+    c = Cluster(n_nodes=2)
+    ranks = 2 * c.cpus_per_node
+    deliveries = []
+    for node in c.nodes:
+        kernel = node.kernel
+        complete = kernel._phase_complete
+
+        def wrapped(cpu, task, epoch, complete=complete):
+            deliveries.append(epoch != task.phase_epoch)
+            complete(cpu, task, epoch)
+
+        kernel._phase_complete = wrapped
+
+    def rung(rank):
+        def factory(mpi):
+            def prog():
+                for _ in range(3):
+                    yield mpi.compute(0.01 * (rank + 1))
+                    yield mpi.barrier()
+
+            return prog()
+
+        return factory
+
+    c.launch(
+        [rung(r) for r in range(ranks)],
+        block_placement(ranks, 2, c.cpus_per_node),
+    )
+    c.run()
+    assert len(deliveries) >= 3 * ranks
+    assert sum(deliveries) == 0
 
 
 def test_sleep_then_resume_keeps_remaining_work(quiet_kernel):

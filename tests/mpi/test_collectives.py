@@ -87,6 +87,78 @@ def test_repeated_barriers_form_rounds(quiet_kernel):
     assert rounds == sorted(rounds)
 
 
+def test_barrier_release_is_one_event_waking_in_arrival_order(quiet_kernel):
+    """A completed collective schedules a single release event, and it
+    wakes the waiters in the order they arrived."""
+    sim = quiet_kernel.sim
+    labels = []
+    at, after = sim.at, sim.after
+
+    def counting_at(time, fn, priority=0, label=""):
+        labels.append(label)
+        return at(time, fn, priority, label)
+
+    def counting_after(delay, fn, priority=0, label=""):
+        labels.append(label)
+        return after(delay, fn, priority, label)
+
+    sim.at, sim.after = counting_at, counting_after
+    woken = []
+    wake_up = quiet_kernel.wake_up
+
+    def recording_wake_up(task):
+        woken.append(int(task.name[1:]))
+        return wake_up(task)
+
+    quiet_kernel.wake_up = recording_wake_up
+    releases = []
+    works = [0.05, 0.01, 0.07, 0.03, 0.02, 0.06, 0.04, 0.08]
+    make = barrier_prog(quiet_kernel, works, releases)
+    rt, _ = launch(
+        quiet_kernel, [make(r) for r in range(8)], cpus=[r % 4 for r in range(8)]
+    )
+    arrivals = []
+    arrive = rt.collective_arrive
+
+    def recording_arrive(comm, kind, rank):
+        arrivals.append(rank)
+        return arrive(comm, kind, rank)
+
+    rt.collective_arrive = recording_arrive
+    quiet_kernel.run()
+    assert labels.count("mpi-barrier-release") == 1
+    assert not any(lbl.startswith("mpi-barrier-release/") for lbl in labels)
+    assert len(releases) == 8
+    assert arrivals != sorted(arrivals)  # the order is not trivially rank order
+    assert woken == arrivals
+
+
+@pytest.mark.parametrize("world_first", [True, False])
+def test_same_instant_collectives_release_in_completion_order(
+    quiet_kernel, world_first
+):
+    """World and a split communicator completing at one instant (with
+    equal tree delays) release at one instant: the earlier-completed
+    collective's waiters wake first, each group in arrival order."""
+    rt = MPIRuntime(quiet_kernel)
+    for rank in range(4):
+        rt.bind(rank, quiet_kernel.create_task(f"r{rank}"))
+    world = rt.world
+    sub = world.split(lambda r: r > 0)[True]
+    assert rt._tree_delay(world.size) == rt._tree_delay(sub.size)
+    woken = []
+    quiet_kernel.wake_up = lambda task: woken.append(task.name)
+    phases = [(world, [3, 1, 0, 2]), (sub, [2, 3, 1])]
+    if not world_first:
+        phases.reverse()
+    for comm, order in phases:
+        for rank in order:
+            rt.collective_arrive(comm, "barrier", rank)
+    quiet_kernel.sim.run()
+    expected = [f"r{rank}" for _, order in phases for rank in order]
+    assert woken == expected
+
+
 def test_sub_communicator_barrier_excludes_others(quiet_kernel):
     sub_released = []
     outsider_done = []
