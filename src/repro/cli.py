@@ -13,9 +13,9 @@ Subcommands:
 * ``validate``                  — differential-oracle fuzzing of the
   fluid-rate engine against the brute-force reference simulator
   (see :mod:`repro.validate`),
-* ``bench``                     — measure engine throughput and paper
-  suite wall cost, write ``BENCH_<label>.json``, diff against the
-  previous report (see :mod:`repro.bench`),
+* ``cluster``                   — block vs gang placement on an
+  N-node cluster, one HPCSched per node (paper §VI; see
+  :mod:`repro.cluster`),
 * ``synth scatter|sweep|convergence`` — parameterized imbalance
   generators: exact-imbalance scatter points, imbalance x ranks
   sweeps, and step-change convergence timing (see
@@ -36,7 +36,7 @@ Examples::
     repro-hpcsched validate --fuzz 50 --seed 0
     repro-hpcsched synth sweep --imbalances 1.5,4.0 --ranks 16,64
     repro-hpcsched synth convergence --ranks 64 --revert-at 9
-    repro-hpcsched bench --quick --label ci
+    repro-hpcsched cluster --nodes 16 --iterations 3 --json
     repro-hpcsched serve --root serve-data --port 8642 --workers 4
     repro-hpcsched submit table3 --tenant alice --seeds 0,1
 """
@@ -168,79 +168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="scenario pool: the generic SPMD fuzzer (engine) or "
         "shapes drawn from the synth workload generators (synth)",
     )
-    val.add_argument(
-        "--sharded-parity", action="store_true",
-        help="instead of the differential fuzz, assert serial-vs-"
-        "sharded cluster parity bit-for-bit (fixed cluster_metbench "
-        "16/64 configurations + --fuzz randomized cluster scenarios)",
-    )
-    val.add_argument(
-        "--quick", action="store_true",
-        help="with --sharded-parity: 16-node fixed configurations "
-        "only, at 2 shards (CI fast-split smoke)",
-    )
-    val.add_argument(
-        "--workers", choices=["inline", "process"], default="inline",
-        help="with --sharded-parity: shard transport for the sharded "
-        "side; 'process' forces the forked-worker wire protocol even "
-        "on 1-CPU hosts (default inline)",
-    )
-    ben = sub.add_parser(
-        "bench",
-        help="run the performance benchmark suite and record/diff "
-        "BENCH_<label>.json reports",
-    )
-    ben.add_argument(
-        "--quick", action="store_true",
-        help="trimmed experiment suite and fewer rounds (storm sizes "
-        "are unchanged, so throughput stays comparable)",
-    )
-    ben.add_argument(
-        "--label", default="local",
-        help="report label: writes BENCH_<label>.json (default local)",
-    )
-    ben.add_argument(
-        "--out", default=".",
-        help="directory for the report (default: current directory)",
-    )
-    ben.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline report to diff against (default: newest other "
-        "BENCH_*.json in the output directory)",
-    )
-    ben.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="fail when events/sec drops more than FRAC below the "
-        "baseline (default 0.20)",
-    )
-    ben.add_argument(
-        "--rounds", type=int, default=None,
-        help="rounds per benchmark (default: 3 quick, 5 full)",
-    )
-    ben.add_argument(
-        "--storm-events", type=int, default=None,
-        help="event count per synthetic storm (default 200000; mainly "
-        "for tests — reports with different sizes are never compared)",
-    )
-    ben.add_argument(
-        "--scenario", action="append", default=None, metavar="NAME",
-        help="run only the named benchmark (repeatable), e.g. "
-        "event_storm_wide or cluster_metbench_64",
-    )
-    ben.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run distinct benchmarks in N worker processes (recorded "
-        "in the report; diffs against a report measured with a "
-        "different jobs/CPU configuration print a warning)",
-    )
-    ben.add_argument(
-        "--shards-sweep", default=None, metavar="LIST",
-        help="comma-separated shard counts (e.g. 1,2,4,8): run each "
-        "selected sharded scenario at every count and emit a "
-        "per-shard-count scaling table (events/s, wall, sync_rounds) "
-        "into the report's 'scaling' section instead of the normal "
-        "suite",
-    )
     clu = sub.add_parser(
         "cluster",
         help="run the multi-node gang-scheduling experiment "
@@ -270,16 +197,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "instance per node",
     )
     clu.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="partition the cluster over K conservative-PDES shard "
-        "simulators (bit-identical per-rank completion times; "
-        "default: single serial simulator)",
-    )
-    clu.add_argument(
-        "--workers", choices=["inline", "process", "auto"], default="auto",
-        help="shard execution backend with --shards (default auto)",
-    )
-    clu.add_argument(
         "--json", action="store_true",
         help="emit one machine-readable JSON object instead of the "
         "human-readable summary",
@@ -303,8 +220,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _campaign(args)
     if args.command == "validate":
         return _validate(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "cluster":
         return _cluster(args)
     if args.command == "synth":
@@ -975,10 +890,7 @@ def _campaign(args) -> int:
 
 
 def _validate(args) -> int:
-    """``validate``: fuzz scenarios through the differential oracle, or
-    (``--sharded-parity``) assert serial-vs-sharded cluster parity."""
-    if args.sharded_parity:
-        return _sharded_parity(args)
+    """``validate``: fuzz scenarios through the differential oracle."""
     from repro.validate import run_fuzz
 
     def progress(case) -> None:
@@ -1002,168 +914,14 @@ def _validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _sharded_parity(args) -> int:
-    """``validate --sharded-parity``: serial vs sharded, bit-for-bit."""
-    from repro.validate import run_parity_suite
-
-    def progress(case) -> None:
-        status = "ok" if case.ok else "MISMATCH"
-        print(
-            f"  {case.label:<24} {status}  events {case.events_serial}"
-            f" -> {case.events_sharded} sharded, {case.windows} windows"
-            f" [{case.workers}]"
-        )
-        for line in case.mismatches:
-            print(f"    {line}")
-
-    report = run_parity_suite(
-        fuzz=args.fuzz,
-        seed=args.seed,
-        nodes_fixed=(16,) if args.quick else (16, 64),
-        shards_fixed=2 if args.quick else None,
-        on_case=progress,
-        workers=args.workers,
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-def _bench(args) -> int:
-    """``bench``: measure, record BENCH_<label>.json, diff vs baseline."""
-    from pathlib import Path
-
-    from repro.bench import harness
-
-    out_dir = Path(args.out)
-    out_path = out_dir / f"BENCH_{args.label}.json"
-    threshold = (
-        harness.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    )
-    kwargs = {}
-    if args.storm_events is not None:
-        kwargs["storm_events"] = args.storm_events
-    if args.scenario is not None:
-        kwargs["scenarios"] = args.scenario
-
-    try:
-        if args.shards_sweep is not None:
-            try:
-                shard_counts = [
-                    int(tok) for tok in args.shards_sweep.split(",") if tok
-                ]
-            except ValueError:
-                print(
-                    f"--shards-sweep: expected comma-separated integers, "
-                    f"got {args.shards_sweep!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            report = harness.run_shards_sweep(
-                shard_counts,
-                scenarios=args.scenario,
-                quick=args.quick,
-                label=args.label,
-                rounds=args.rounds,
-                progress=lambda line: print(f"  {line}"),
-            )
-        else:
-            report = harness.run_suite(
-                quick=args.quick,
-                label=args.label,
-                rounds=args.rounds,
-                jobs=args.jobs,
-                progress=lambda line: print(f"  {line}"),
-                **kwargs,
-            )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    if report.scaling:
-        print("\nshards-sweep scaling:")
-        for name, rows in report.scaling.items():
-            print(f"  {name}:")
-            print(
-                "    shards      wall_s      events/s  sync_rounds"
-                "   wire_bytes  workers"
-            )
-            for row in rows:
-                print(
-                    f"    {row['shards']:>6}  {row['wall_s']:>10.4f}"
-                    f"  {row['events_per_sec']:>12,.0f}"
-                    f"  {row['sync_rounds']:>11,}"
-                    f"  {row['wire_bytes']:>11,}  {row['workers']}"
-                )
-
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = harness.find_baseline(out_dir, exclude=out_path)
-
-    regressed = False
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            baseline = harness.load_report(baseline_path)
-        except harness.BenchFormatError as exc:
-            print(f"baseline ignored: {exc}", file=sys.stderr)
-        else:
-            current = report.to_dict()
-            rows = harness.compare_reports(current, baseline, threshold)
-            warnings = harness.context_warnings(current, baseline)
-            report.vs_baseline = {
-                "baseline": str(baseline_path),
-                "threshold": threshold,
-                "rows": rows,
-                "warnings": warnings,
-            }
-            print(f"\nvs {baseline_path} (threshold -{threshold:.0%}):")
-            for warning in warnings:
-                print(f"  WARNING: {warning}")
-            for row in rows:
-                if row["regressed"]:
-                    mark = "REGRESSED"
-                elif row.get("cross_host"):
-                    mark = "warn (cross-host, not gated)"
-                else:
-                    mark = "ok"
-                if str(row.get("basis", "")).startswith("wall_"):
-                    detail = (
-                        f"({row['current'] * 1e3:,.1f} vs "
-                        f"{row['baseline'] * 1e3:,.1f} ms wall)"
-                    )
-                else:
-                    detail = (
-                        f"({row['current']:,.0f} vs {row['baseline']:,.0f} "
-                        f"events/s)"
-                    )
-                print(
-                    f"  {row['name']:<24} {row['ratio']:>6.2f}x "
-                    f"{detail}  {mark}"
-                )
-                regressed = regressed or bool(row["regressed"])
-            if not rows:
-                print("  (no comparable benchmarks)")
-    else:
-        print("\nno baseline found; recording only")
-
-    harness.write_report(report, out_path)
-    print(f"wrote {out_path}")
-    if regressed:
-        print("PERFORMANCE REGRESSION beyond threshold", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cluster(args) -> int:
-    """``cluster``: block vs gang placement on an N-node cluster,
-    serially or sharded over K PDES simulators (``--shards``)."""
+    """``cluster``: block vs gang placement on an N-node cluster."""
     import json
 
     from repro.cluster.experiment import (
         DEFAULT_ITERATIONS,
         ladder_loads,
         run_cluster,
-        run_cluster_sharded,
     )
 
     n_ranks = args.ranks if args.ranks is not None else 4 * args.nodes
@@ -1179,15 +937,10 @@ def _cluster(args) -> int:
         ["block", "gang"] if args.placement == "both" else [args.placement]
     )
     if not args.json:
-        mode = (
-            f"{args.shards} PDES shards ({args.workers} workers)"
-            if args.shards
-            else "serial simulator"
-        )
         print(
             f"cluster: {args.nodes} nodes x 4 CPUs, {n_ranks} ranks, "
             f"{iterations} iterations, "
-            f"{'CFS only' if args.no_hpc else 'HPCSched per node'}, {mode}"
+            f"{'CFS only' if args.no_hpc else 'HPCSched per node'}"
         )
     exec_times = {}
     out: Dict[str, Any] = {
@@ -1195,43 +948,27 @@ def _cluster(args) -> int:
         "ranks": n_ranks,
         "iterations": iterations,
         "hpcsched": not args.no_hpc,
-        "shards": args.shards or 1,
         "placements": {},
     }
     for strategy in strategies:
         try:
-            if args.shards:
-                result = run_cluster_sharded(
-                    strategy,
-                    loads=loads,
-                    iterations=iterations,
-                    n_nodes=args.nodes,
-                    use_hpc=not args.no_hpc,
-                    shards=args.shards,
-                    workers=args.workers,
-                )
-            else:
-                result = run_cluster(
-                    strategy,
-                    loads=loads,
-                    iterations=iterations,
-                    n_nodes=args.nodes,
-                    use_hpc=not args.no_hpc,
-                )
+            result = run_cluster(
+                strategy,
+                loads=loads,
+                iterations=iterations,
+                n_nodes=args.nodes,
+                use_hpc=not args.no_hpc,
+            )
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
         exec_times[strategy] = result.exec_time
         node_loads = result.node_loads
         spread = max(node_loads.values()) - min(node_loads.values())
-        out["workers"] = result.workers
         out["placements"][strategy] = {
             "exec_time": result.exec_time,
             "node_load_spread": spread,
             "events": result.events,
-            "windows": result.windows,
-            "sync_rounds": result.sync_rounds,
-            "wire_bytes": result.wire_bytes,
             "rank_exit": {str(r): t for r, t in sorted(result.rank_exit.items())},
         }
         if not args.json:

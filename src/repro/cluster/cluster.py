@@ -37,8 +37,8 @@ class InterconnectModel:
     def __post_init__(self) -> None:
         # LatencyModel validates its own fields at construction; guard
         # here against models smuggled in through other means (subclass,
-        # object.__setattr__, raw floats) because the sharded runner's
-        # conservative lookahead is derived from ``inter.base``.
+        # object.__setattr__, raw floats), because a non-positive delay
+        # delivers a message at or before its send time.
         for name in ("intra", "inter"):
             model = getattr(self, name)
             base = getattr(model, "base", None)
@@ -120,9 +120,8 @@ class Cluster:
         for node in self.nodes:
             node.kernel.on_live_change = self._note_live_change
         #: Simulated time each rank's task exited, recorded by the
-        #: task ``on_exit`` hooks :meth:`launch` installs.  These are
-        #: the per-rank completion times the sharded runner's parity
-        #: oracle compares bit-for-bit against a sharded run.
+        #: task ``on_exit`` hooks :meth:`launch` installs: the per-rank
+        #: completion times behind ``cluster --json``'s ``rank_exit``.
         self.rank_exit: Dict[int, float] = {}
 
     def _note_live_change(self, delta: int) -> None:

@@ -43,19 +43,10 @@ class ClusterRunResult:
     node_loads: Dict[int, float]
     #: Simulation events the shared engine delivered for this run.
     events: int = 0
-    #: Simulated time each rank's task exited — the bit-exact quantity
-    #: the sharded parity oracle compares.
+    #: Simulated time each rank's task exited.
     rank_exit: Dict[int, float] = field(default_factory=dict)
     messages_sent: int = 0
     messages_delivered: int = 0
-    #: Scale-out bookkeeping: 1/serial for the single-process path.
-    shards: int = 1
-    workers: str = "serial"
-    windows: int = 0
-    #: Window barriers (== windows; the bench-facing name) and total
-    #: wire-protocol bytes crossing worker pipes (0 for inline/serial).
-    sync_rounds: int = 0
-    wire_bytes: int = 0
 
 
 def _worker(load: float, iterations: int):
@@ -86,6 +77,8 @@ def run_cluster(
     use_hpc: bool = True,
 ) -> ClusterRunResult:
     """Run the ladder workload under one placement strategy."""
+    if iterations < 1:
+        raise ValueError(f"need at least one iteration, got {iterations}")
     loads = list(loads if loads is not None else DEFAULT_LOADS)
     cluster = Cluster(
         n_nodes=n_nodes,
@@ -107,46 +100,3 @@ def run_cluster(
         messages_delivered=cluster.runtime.messages_delivered,
     )
 
-
-def run_cluster_sharded(
-    strategy: str,
-    loads: Optional[Sequence[float]] = None,
-    iterations: int = DEFAULT_ITERATIONS,
-    n_nodes: int = 2,
-    use_hpc: bool = True,
-    shards: int = 2,
-    workers: str = "auto",
-) -> ClusterRunResult:
-    """The sharded-PDES twin of :func:`run_cluster`: same workload,
-    same placement, the cluster partitioned over ``shards`` simulators
-    (see :mod:`repro.cluster.sharded`).  Per-rank completion times are
-    bit-identical to the serial run's."""
-    from repro.cluster.sharded import run_sharded
-    from repro.power5.machine import MachineTopology
-
-    loads = list(loads if loads is not None else DEFAULT_LOADS)
-    cpn = MachineTopology().n_cpus
-    placement = _placement_for(strategy, loads, n_nodes, cpn)
-    programs = [_worker(load, iterations) for load in loads]
-    result = run_sharded(
-        n_nodes=n_nodes,
-        programs=programs,
-        placement=placement,
-        heuristic_factory=UniformHeuristic if use_hpc else None,
-        shards=shards,
-        workers=workers,
-    )
-    return ClusterRunResult(
-        placement=placement,
-        exec_time=result.exec_time,
-        node_loads=placement.node_loads(loads),
-        events=result.events,
-        rank_exit=dict(result.rank_exit),
-        messages_sent=result.messages_sent,
-        messages_delivered=result.messages_delivered,
-        shards=result.n_shards,
-        workers=result.workers,
-        windows=result.windows,
-        sync_rounds=result.sync_rounds,
-        wire_bytes=result.wire_bytes,
-    )

@@ -155,20 +155,13 @@ class Kernel:
         #: the balance timer and the idle-pull path skip whole-machine
         #: scans when nothing is waiting anywhere.
         self._queued_total = 0
-        #: Optional observer fired when ``_queued_total`` transitions
-        #: 0 → 1.  The sharded cluster runner parks this kernel's
-        #: provably-inert balance timers off the event heap and uses
-        #: this edge to reinstate them the instant they could matter.
-        self.on_queued_nonempty: Optional[Any] = None
         #: Started-and-not-exited tasks whose CPU mask permits more than
         #: one CPU.  While zero, no load-balance pull can ever move a
         #: task (``_steal`` requires ``task.allows_cpu(dst)`` for a
-        #: second CPU), so periodic balance rounds are provably inert.
+        #: second CPU), so periodic balance rounds are provably inert;
+        #: the fast-forward balance witness parks them on that fact and
+        #: unparks on the 0 → 1 edge.
         self._migratable = 0
-        #: Optional observer of the ``_migratable`` 0 → 1 edge — the
-        #: second half of the sharded runner's parking soundness
-        #: argument (see ``on_queued_nonempty``).
-        self.on_migratable: Optional[Any] = None
         self.context_switches = 0
         self.migrations = 0
         self._balance_started = False
@@ -318,8 +311,6 @@ class Kernel:
                 fam = self._ff_balance
                 if fam is not None and fam.parked and self._queued_total:
                     fam.unpark_ready()
-                if self.on_migratable is not None:
-                    self.on_migratable()
         if self.trace is not None:
             self._trace(task, "wake", cpu=cpu)
         self._enqueue(task, cpu, wakeup=False)
@@ -434,8 +425,6 @@ class Kernel:
             fam = self._ff_balance
             if fam is not None and fam.parked:
                 fam.unpark_ready()
-            if self.on_queued_nonempty is not None:
-                self.on_queued_nonempty()
         task.last_enqueue_time = self.sim.now
         self._update_tick(cpu)
 
@@ -501,8 +490,6 @@ class Kernel:
                     fam = self._ff_balance
                     if fam is not None and fam.parked and self._queued_total:
                         fam.unpark_ready()
-                    if self.on_migratable is not None:
-                        self.on_migratable()
             elif was and not now:
                 self._migratable -= 1
         if task.cpus_allowed is None:

@@ -15,7 +15,7 @@ class Communicator:
     _next_id = 0
 
     def __init__(self, ranks: Sequence[int], name: str = "world") -> None:
-        #: Ordered members (``split`` and the wire codec rely on order).
+        #: Ordered members (``split`` relies on order).
         self.ranks: Tuple[int, ...] = tuple(ranks)
         #: The same members as a set: O(1) membership on every
         #: collective arrival, however many ranks the job has.

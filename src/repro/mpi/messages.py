@@ -19,9 +19,9 @@ class LatencyModel:
     bandwidth: float = 1e9  # bytes/second
 
     def __post_init__(self) -> None:
-        # A non-positive base silently breaks the sharded runner's PDES
-        # lookahead (and yields zero/negative delays nothing else
-        # diagnoses), so reject degenerate models at construction.
+        # A non-positive delay delivers a message at or before its send
+        # time, which nothing downstream diagnoses, so reject degenerate
+        # models at construction.
         if not self.base > 0.0:
             raise ValueError(
                 f"LatencyModel.base must be positive, got {self.base!r}"

@@ -232,7 +232,6 @@ class Simulator:
         self,
         until: Optional[float] = None,
         stop_when: Optional[Callable[[], bool]] = None,
-        until_exclusive: bool = False,
     ) -> float:
         """Drain the event queue.
 
@@ -244,14 +243,6 @@ class Simulator:
         stop_when:
             Optional predicate evaluated after every event; the run stops
             as soon as it returns ``True``.
-        until_exclusive:
-            When true, events at exactly ``until`` also stay queued (the
-            horizon is the half-open interval ``[now, until)``).  The
-            sharded cluster runner depends on this: a cross-shard message
-            landing exactly on a window boundary must be injected before
-            the boundary instant is executed, so the window must not
-            consume any event at its own horizon.  The clock still
-            advances to ``until``.
 
         Returns the simulated time at which the run stopped.
         """
@@ -267,7 +258,7 @@ class Simulator:
                 processed = self._run_storm(queue, processed, stop_when)
             if not self._stop_requested:
                 processed = self._run_general(
-                    queue, processed, until, stop_when, until_exclusive
+                    queue, processed, until, stop_when
                 )
             if until is not None and len(queue) == 0 and until > self.now:
                 self.now = until
@@ -525,7 +516,6 @@ class Simulator:
         processed: int,
         until: Optional[float],
         stop_when: Optional[Callable[[], bool]],
-        until_exclusive: bool,
     ) -> int:
         """Bucket drain with per-event exact bookkeeping (the validation
         oracle asserts the live counters at every delivery), horizon
@@ -547,9 +537,7 @@ class Simulator:
                 if head is None:
                     break
                 t, b = head
-                if until is not None and (
-                    t > until or (until_exclusive and t >= until)
-                ):
+                if until is not None and t > until:
                     b = None
                     if until > self.now:
                         self.now = until

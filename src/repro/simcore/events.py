@@ -357,8 +357,8 @@ class EventQueue:
     # -- introspection -------------------------------------------------
     def iter_entries(self) -> Iterator[Tuple[float, Event]]:
         """Yield ``(time, event)`` for every pending event, in no
-        particular order (the scan used by the sharded runner's
-        action-bound computation)."""
+        particular order (the O(n) scan behind
+        :meth:`live_count_check`)."""
         for t, b in self._buckets.items():
             if type(b) is list:
                 for ev in b:

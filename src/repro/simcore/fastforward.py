@@ -8,8 +8,7 @@ whose outcome is *predetermined* — it will observe nothing actionable
 and merely re-arm itself — therefore does not need to be executed at
 all: its effect on every future observable is the identity.
 
-This module generalizes the sharded runner's balance-timer parking
-(PR 5) into a reusable mechanism:
+This module is that elision as a reusable mechanism:
 
 * A :class:`TimerChain` is one periodic timer (one CPU's balance timer,
   one CPU's ``full_ticks`` tick).  It is either *armed* (a real event in
@@ -37,8 +36,8 @@ This module generalizes the sharded runner's balance-timer parking
   elided; otherwise the chain is re-armed at ``now`` and fires after
   the current event, exactly as the serial queue would order it.
   (Equal priorities keep the re-arm-at-now behaviour; the only such
-  collision — a balance fire on one kernel migrating work into
-  another — is commutative, see ``cluster/sharded.py``.)
+  collision is two balance fires at one instant, and balance rounds
+  on distinct kernels touch disjoint state, so they commute.)
 * Chains whose serial twin can *die* (the balance chain stops re-arming
   once ``live_tasks`` hits zero) record the death instant via
   :meth:`ChainFamily.mark_dead`; a later revival calls
@@ -56,8 +55,7 @@ This module generalizes the sharded runner's balance-timer parking
 
 Elision is on by default.  ``Kernel(fastforward=False)`` builds the
 stock always-armed chains instead: the non-eliding reference that the
-twin-run elision tests and the ``event_storm_timers_stock`` bench row
-compare against.
+twin-run elision tests compare against.
 """
 
 from __future__ import annotations
@@ -129,7 +127,7 @@ class ChainFamily:
         #: Instant the owner's chains became collectively dead (e.g.
         #: ``live_tasks`` hit 0) — ``None`` while alive.  See ``reap``.
         self.dead_at: Optional[float] = None
-        #: Fires skipped analytically (observability/bench accounting).
+        #: Fires skipped analytically (observability accounting).
         self.elided = 0
 
     # -- construction ---------------------------------------------------

@@ -42,12 +42,6 @@ from repro.validate.invariants import (
     validation_enabled,
 )
 from repro.validate.reference import ReferenceSimulator
-from repro.validate.sharded_parity import (
-    ParityCase,
-    ParityReport,
-    check_parity,
-    run_parity_suite,
-)
 from repro.validate.scenario import (
     BarrierOp,
     ComputeOp,
@@ -64,20 +58,16 @@ __all__ = [
     "Divergence",
     "FuzzReport",
     "InvariantViolation",
-    "ParityCase",
-    "ParityReport",
     "ReferenceSimulator",
     "SCENARIO_POOLS",
     "Scenario",
     "SetPrioOp",
     "SleepOp",
     "TaskSpec",
-    "check_parity",
     "generate_scenario",
     "generate_synth_scenario",
     "run_differential",
     "run_fuzz",
-    "run_parity_suite",
     "shrink",
     "validation_enabled",
 ]

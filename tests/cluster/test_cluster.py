@@ -8,6 +8,7 @@ from repro.cluster import Cluster, InterconnectModel
 from repro.cluster.experiment import run_cluster
 from repro.cluster.gang import block_placement
 from repro.hpcsched import UniformHeuristic
+from repro.mpi.messages import LatencyModel
 from repro.mpi.process import MPIRank
 from repro.simcore.engine import SimulationError
 
@@ -79,6 +80,39 @@ def test_launch_requires_full_placement():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         run_cluster("random")
+
+
+@pytest.mark.parametrize("iterations", [0, -2])
+def test_run_cluster_rejects_fewer_than_one_iteration(iterations):
+    with pytest.raises(ValueError, match="iteration"):
+        run_cluster("block", iterations=iterations)
+
+
+@pytest.mark.parametrize("base", [0.0, -1e-6])
+def test_latency_model_rejects_nonpositive_base(base):
+    with pytest.raises(ValueError, match="base"):
+        LatencyModel(base=base)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+def test_latency_model_rejects_nonpositive_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        LatencyModel(bandwidth=bandwidth)
+
+
+def test_interconnect_model_rejects_smuggled_degenerate_models():
+    class Fake:
+        base = 0.0
+        bandwidth = 1e9
+
+    with pytest.raises(ValueError, match="inter"):
+        InterconnectModel(inter=Fake())
+
+
+def test_interconnect_model_default_is_valid():
+    model = InterconnectModel()
+    assert model.inter.base > 0
+    assert model.intra.delay(0) > 0
 
 
 @pytest.mark.slow

@@ -110,3 +110,34 @@ def test_synth_results_are_campaign_serializable():
     text = json.dumps(summary)  # must not raise
     round_trip = json.loads(text)
     assert round_trip["adaptive"]["convergence"]["converged"] is True
+
+
+def _synth_events(workload) -> int:
+    from repro.experiments.common import run_experiment
+
+    result = run_experiment(
+        workload, "adaptive", topology=workload.topology(), keep_trace=True
+    )
+    return result.kernel.sim.events_processed
+
+
+def test_synth_scatter_replays_identical_event_count():
+    from repro.workloads.synth import SyntheticScatter
+
+    def make():
+        return SyntheticScatter(imbalance=2.0, ranks=8, iterations=2)
+
+    first = _synth_events(make())
+    assert first > 0
+    assert _synth_events(make()) == first
+
+
+def test_synth_convergence_replays_identical_event_count():
+    from repro.workloads.synth import SyntheticConvergence
+
+    def make():
+        return SyntheticConvergence(ranks=8, iterations=8, revert_at=6)
+
+    first = _synth_events(make())
+    assert first > 0
+    assert _synth_events(make()) == first

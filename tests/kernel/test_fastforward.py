@@ -236,6 +236,27 @@ def test_detector_workload_identical_with_fastforward(monkeypatch):
     )
 
 
+def test_cluster_elides_events_with_identical_exits(monkeypatch):
+    # The serial cluster parks inert balance timers on every node's
+    # kernel: the same per-rank exits as the stock (fastforward=False)
+    # run, which pays for every fire.
+    from repro.cluster.experiment import ladder_loads, run_cluster
+
+    loads = ladder_loads(16)
+    fast = [
+        run_cluster(s, loads=loads, iterations=1, n_nodes=4)
+        for s in ("block", "gang")
+    ]
+    use_stock_kernels(monkeypatch)
+    stock = [
+        run_cluster(s, loads=loads, iterations=1, n_nodes=4)
+        for s in ("block", "gang")
+    ]
+    for f, s in zip(fast, stock):
+        assert f.rank_exit == s.rank_exit
+        assert 0 < f.events < s.events
+
+
 # ----------------------------------------------------------------------
 # Tick chains (full_ticks mode)
 # ----------------------------------------------------------------------

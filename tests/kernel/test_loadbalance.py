@@ -87,7 +87,8 @@ def test_overload_resolves_via_scheduling(quiet_kernel):
 
 def test_migratable_census_tracks_masks(quiet_kernel):
     """``_migratable`` counts started tasks whose mask allows >1 CPU —
-    the sharded runner's proof obligation for parking balance timers."""
+    the fast-forward balance witness's proof obligation for parking
+    balance timers."""
     k = quiet_kernel
     assert k._migratable == 0
     pinned = k.spawn("p", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
@@ -104,14 +105,3 @@ def test_migratable_census_tracks_masks(quiet_kernel):
     k.run()
     assert k._migratable == 0
 
-
-def test_migratable_zero_to_one_edge_fires_hook(quiet_kernel):
-    k = quiet_kernel
-    edges = []
-    k.on_migratable = lambda: edges.append(k._migratable)
-    k.spawn("p", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
-    assert edges == []
-    k.spawn("f", pure_compute_program(0.2), cpu=1)
-    assert edges == [1]
-    k.spawn("g", pure_compute_program(0.2), cpu=2)
-    assert edges == [1]  # only the 0 -> 1 edge fires

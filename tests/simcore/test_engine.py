@@ -274,3 +274,17 @@ def test_defer_drained_in_step_and_oracle_path():
     sim.after(1.0, lambda: sim.defer(lambda: log.append("b")))
     sim.run(until=10.0)
     assert log == ["a", "b"]
+
+
+def test_storm_chain_deterministic_event_count():
+    from benchmarks.bench_simulator_throughput import event_storm_chain
+
+    assert event_storm_chain(500) == 500
+    assert event_storm_chain(500) == 500
+
+
+def test_storm_deep_deterministic_event_count():
+    from benchmarks.bench_simulator_throughput import event_storm_deep
+
+    # chains * (n // chains) events, independent of scheduling noise
+    assert event_storm_deep(1000, chains=16) == 16 * (1000 // 16)

@@ -103,8 +103,8 @@ def test_property_queue_agrees_with_model(ops):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_OPS, max_size=80))
 def test_property_iter_entries_agrees_with_model(ops):
-    """``iter_entries`` (the sharded runner's scan API) yields the live
-    (time, label, seq) multiset of the model."""
+    """``iter_entries`` (the scan behind ``live_count_check``) yields
+    the live (time, label, seq) multiset of the model."""
     model = ModelQueue()
     q = EventQueue()
     pairs = []

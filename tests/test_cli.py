@@ -73,6 +73,56 @@ def test_cluster_rejects_zero_ranks(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iterations", ["0", "-2"])
+def test_cluster_rejects_fewer_than_one_iteration(capsys, iterations):
+    assert main(["cluster", "--nodes", "2", "--iterations", iterations]) == 2
+    captured = capsys.readouterr()
+    assert "iteration" in captured.err
+    assert "exec" not in captured.out
+
+
+def test_cluster_json_reports_the_serial_run(capsys):
+    import json
+
+    from repro.cluster.experiment import ladder_loads, run_cluster
+
+    assert main(["cluster", "--nodes", "2", "--iterations", "1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {
+        "nodes", "ranks", "iterations", "hpcsched", "placements",
+        "gang_speedup_over_block",
+    }
+    for strategy in ("block", "gang"):
+        entry = data["placements"][strategy]
+        assert set(entry) == {
+            "exec_time", "node_load_spread", "events", "rank_exit",
+        }
+        lib = run_cluster(strategy, loads=ladder_loads(8), iterations=1)
+        assert entry["exec_time"] == lib.exec_time
+        assert entry["events"] == lib.events
+        assert entry["rank_exit"] == {
+            str(r): t for r, t in sorted(lib.rank_exit.items())
+        }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--quick"],
+        ["cluster", "--shards", "2"],
+        ["cluster", "--workers", "inline"],
+        ["validate", "--quick"],
+        ["validate", "--workers", "process"],
+    ],
+    ids=" ".join,
+)
+def test_removed_options_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err
+
+
 def test_synth_scatter_prints_comparison(capsys):
     assert main([
         "synth", "scatter", "--ranks", "4", "--iterations", "3",
