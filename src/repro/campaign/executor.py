@@ -66,19 +66,15 @@ def _mp_context():
 class PoolManager:
     """Thread-safe, generation-guarded worker-pool lifecycle.
 
-    The executor used to keep its ``ProcessPoolExecutor`` in a bare
-    attribute with the timeout write-off counter as a loop-local and
-    the rebuild logic inline in the drain loop.  That was fine for the
-    one-shot CLI (a single drain thread owns the pool), but it is not
-    idempotent under concurrent submissions: with two drains sharing
-    one executor (as ``repro.serve`` does), both could observe the same
-    hung/broken pool and both would tear it down and rebuild — the
-    second teardown killing a *fresh* pool that already carried the
-    first drain's resubmitted in-flight runs, so those runs ran twice
-    (or their results were lost) and the write-off counter was reset
-    against the wrong pool.
+    Concurrent :meth:`CampaignExecutor.run` callers share one executor
+    and therefore one pool.  Two drains can observe the same
+    hung/broken pool; unguarded, both would tear it down and rebuild —
+    the second teardown killing a *fresh* pool that already carried the
+    first drain's resubmitted in-flight runs, so those runs would run
+    twice (or their results would be lost) and the write-off counter
+    would be reset against the wrong pool.
 
-    The fix is an idempotency token: every pool carries a
+    The guard is an idempotency token: every pool carries a
     **generation**.  Callers capture the generation together with the
     pool; :meth:`rebuild` replaces the pool only when the caller's
     generation is still current and is a no-op otherwise (a concurrent

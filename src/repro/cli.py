@@ -19,12 +19,7 @@ Subcommands:
 * ``synth scatter|sweep|convergence`` — parameterized imbalance
   generators: exact-imbalance scatter points, imbalance x ranks
   sweeps, and step-change convergence timing (see
-  :mod:`repro.workloads.synth` / :mod:`repro.analysis.convergence`),
-* ``serve``                     — run the multi-tenant campaign
-  service: durable job queue + fair-share scheduling over HTTP/JSON
-  (see :mod:`repro.serve`; ``--smoke`` runs the bounded CI self-test),
-* ``submit``                    — submit runs to a running service
-  and stream NDJSON results as they complete.
+  :mod:`repro.workloads.synth` / :mod:`repro.analysis.convergence`).
 
 Examples::
 
@@ -37,8 +32,6 @@ Examples::
     repro-hpcsched synth sweep --imbalances 1.5,4.0 --ranks 16,64
     repro-hpcsched synth convergence --ranks 64 --revert-at 9
     repro-hpcsched cluster --nodes 16 --iterations 3 --json
-    repro-hpcsched serve --root serve-data --port 8642 --workers 4
-    repro-hpcsched submit table3 --tenant alice --seeds 0,1
 """
 
 from __future__ import annotations
@@ -202,8 +195,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "human-readable summary",
     )
     _add_synth_parser(sub)
-    _add_serve_parser(sub)
-    _add_submit_parser(sub)
 
     args = parser.parse_args(argv)
     if args.command == "list" or args.command is None:
@@ -224,10 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cluster(args)
     if args.command == "synth":
         return _synth(args)
-    if args.command == "serve":
-        return _serve(args)
-    if args.command == "submit":
-        return _submit(args)
     parser.print_help()
     return 1
 
@@ -259,6 +246,9 @@ def _run_single(args) -> int:
         result, dropped = invoke(spec)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     for name in dropped:
         print(
@@ -539,259 +529,6 @@ def _print_exec_rows(results) -> None:
         print(f"  {sched:<9} exec {res.exec_time:8.3f}s{note}")
 
 
-def _add_serve_parser(sub) -> None:
-    """Attach the ``serve`` subcommand."""
-    srv = sub.add_parser(
-        "serve",
-        help="run the multi-tenant campaign service (durable queue, "
-        "fair-share scheduling, HTTP/JSON API)",
-    )
-    srv.add_argument(
-        "--root", default=None,
-        help="service state directory: job journal + shared result "
-        "cache (default serve-data; --smoke defaults to a temp dir)",
-    )
-    srv.add_argument("--host", default="127.0.0.1", help="bind address")
-    srv.add_argument(
-        "--port", type=int, default=8642,
-        help="TCP port (0 picks an ephemeral port; default 8642)",
-    )
-    srv.add_argument(
-        "--workers", type=int, default=2, help="worker slots (default 2)"
-    )
-    srv.add_argument(
-        "--worker-mode", choices=["process", "thread"], default="process",
-        help="execution backend (default process)",
-    )
-    srv.add_argument(
-        "--epoch-interval", type=float, default=0.25, metavar="SECONDS",
-        help="wall time between fair-share scheduler epochs "
-        "(default 0.25)",
-    )
-    srv.add_argument(
-        "--manual-clock", action="store_true",
-        help="never advance epochs on wall time; only POST /v1/tick "
-        "moves the scheduler (deterministic runs)",
-    )
-    srv.add_argument(
-        "--heuristic", choices=["uniform", "adaptive"], default="adaptive",
-        help="the paper's balancing heuristic for tenant priorities "
-        "(default adaptive)",
-    )
-    srv.add_argument(
-        "--max-tenant-depth", type=int, default=64,
-        help="queued jobs allowed per tenant before 429 (default 64)",
-    )
-    srv.add_argument(
-        "--max-total-depth", type=int, default=256,
-        help="queued jobs allowed service-wide before 429 (default 256)",
-    )
-    srv.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-job execution timeout (s; default none)",
-    )
-    srv.add_argument(
-        "--retries", type=int, default=1,
-        help="retry budget per job (default 1)",
-    )
-    srv.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared content-addressed result cache",
-    )
-    srv.add_argument(
-        "--smoke", action="store_true",
-        help="bounded self-test instead of serving: boot on an "
-        "ephemeral port, drive a 3-tenant mini-campaign over HTTP, "
-        "assert fair-share + cache + restart behaviour, exit",
-    )
-
-
-def _add_submit_parser(sub) -> None:
-    """Attach the ``submit`` subcommand."""
-    subm = sub.add_parser(
-        "submit",
-        help="submit experiment runs to a running campaign service "
-        "and stream results",
-    )
-    subm.add_argument(
-        "experiments", nargs="+", help="experiment ids (see 'list')"
-    )
-    subm.add_argument(
-        "--tenant", required=True, help="tenant name to submit as"
-    )
-    subm.add_argument("--host", default="127.0.0.1", help="service host")
-    subm.add_argument(
-        "--port", type=int, default=8642, help="service port (default 8642)"
-    )
-    subm.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="runner keyword override applied to every run (repeatable)",
-    )
-    subm.add_argument(
-        "--seeds", default=None,
-        help="comma-separated seeds to cross with the experiments",
-    )
-    subm.add_argument(
-        "--tag", default="",
-        help="re-run tag: the same spec with a new tag is a "
-        "deliberate duplicate, not an idempotent resubmit",
-    )
-    subm.add_argument(
-        "--no-follow", action="store_true",
-        help="submit and exit without waiting for results",
-    )
-    subm.add_argument(
-        "--show-results", action="store_true",
-        help="print each finished job's full result JSON",
-    )
-    subm.add_argument(
-        "--timeout", type=float, default=600.0,
-        help="result-stream timeout in seconds (default 600)",
-    )
-
-
-def _serve(args) -> int:
-    """``serve``: run the campaign service (or its ``--smoke`` test)."""
-    if args.smoke:
-        from repro.serve.smoke import run_smoke
-
-        return run_smoke(
-            root=args.root,
-            workers=args.workers,
-            worker_mode=args.worker_mode,
-        )
-
-    import asyncio
-    import signal
-
-    from repro.serve import CampaignService, ServeConfig
-
-    try:
-        config = ServeConfig(
-            root=args.root or "serve-data",
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            worker_mode=args.worker_mode,
-            epoch_interval=args.epoch_interval,
-            manual_clock=args.manual_clock,
-            max_tenant_depth=args.max_tenant_depth,
-            max_total_depth=args.max_total_depth,
-            job_timeout=args.timeout,
-            retries=args.retries,
-            heuristic=args.heuristic,
-            cache_enabled=not args.no_cache,
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    async def _run() -> None:
-        service = CampaignService(config)
-        await service.start()
-        clock = (
-            "manual clock (POST /v1/tick)"
-            if config.manual_clock or not config.epoch_interval
-            else f"epoch every {config.epoch_interval}s"
-        )
-        print(
-            f"repro.serve listening on http://{service.address}  "
-            f"root={config.root}  workers={config.workers} "
-            f"({config.worker_mode})  heuristic={config.heuristic}  {clock}"
-        )
-        if service.recovered_jobs:
-            print(
-                f"recovered {len(service.recovered_jobs)} mid-flight "
-                f"job(s) from the journal"
-            )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # platforms without signal handler support
-        try:
-            await stop.wait()
-        finally:
-            print("shutting down...")
-            await service.stop()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _submit(args) -> int:
-    """``submit``: send a batch to a service, optionally stream results."""
-    import json
-
-    from repro.serve.client import ServeClient, ServeError
-
-    params = _parse_params(args.param)
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [None]
-    )
-    runs = []
-    for experiment in args.experiments:
-        for seed in seeds:
-            run: Dict[str, Any] = {"experiment": experiment}
-            if params:
-                run["params"] = params
-            if seed is not None:
-                run["seed"] = seed
-            if args.tag:
-                run["tag"] = args.tag
-            runs.append(run)
-
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    try:
-        doc = client.submit(args.tenant, runs, ok=False)
-    except (ConnectionError, OSError) as exc:
-        print(
-            f"cannot reach the service at {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    status = doc.get("_status", 200)
-    accepted = doc.get("accepted", [])
-    for job in accepted:
-        print(f"accepted {job['job_id']}")
-    if status >= 400:
-        print(
-            f"rejected {doc.get('rejected', 0)} run(s): "
-            f"{doc.get('error', f'HTTP {status}')}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.no_follow or not accepted:
-        return 0
-
-    job_ids = [job["job_id"] for job in accepted]
-    failures = 0
-    try:
-        for rec in client.results(
-            jobs=job_ids, follow=True, timeout=args.timeout
-        ):
-            note = " (cached)" if rec.get("cache_hit") else ""
-            line = f"{rec['job_id']}  {rec['state']}{note}"
-            if rec.get("error"):
-                line += f"  {rec['error']}"
-            print(line)
-            if rec["state"] != "OK":
-                failures += 1
-            if args.show_results and "result" in rec:
-                print(json.dumps(rec["result"], indent=2, sort_keys=True))
-    except (ServeError, ConnectionError, OSError) as exc:
-        print(f"result stream failed: {exc}", file=sys.stderr)
-        return 2
-    return 0 if failures == 0 else 1
-
-
 def _campaign_dir(target: str):
     """Map a campaign name or path to its store directory."""
     from pathlib import Path
@@ -902,14 +639,18 @@ def _validate(args) -> int:
             f"exec={case.exec_time:.4f}s"
         )
 
-    report = run_fuzz(
-        count=args.fuzz,
-        seed=args.seed,
-        dt=args.dt,
-        stop_on_divergence=not args.keep_going,
-        on_case=progress,
-        pool=args.pool,
-    )
+    try:
+        report = run_fuzz(
+            count=args.fuzz,
+            seed=args.seed,
+            dt=args.dt,
+            stop_on_divergence=not args.keep_going,
+            on_case=progress,
+            pool=args.pool,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(report.summary())
     return 0 if report.ok else 1
 

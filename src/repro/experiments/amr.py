@@ -22,7 +22,9 @@ def run_one(
     keep_trace: bool = True,
 ) -> ExperimentResult:
     """Run the AMR drift workload under one scheduler configuration."""
-    workload = AMRDrift(**({"iterations": iterations} if iterations else {}))
+    workload = AMRDrift(
+        **({"iterations": iterations} if iterations is not None else {})
+    )
     return run_experiment(workload, scheduler, keep_trace=keep_trace)
 
 

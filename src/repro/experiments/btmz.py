@@ -40,7 +40,9 @@ def run_one(
     keep_trace: bool = True,
 ) -> ExperimentResult:
     """Run BT-MZ under one scheduler configuration."""
-    workload = BTMZ(**({"iterations": iterations} if iterations else {}))
+    workload = BTMZ(
+        **({"iterations": iterations} if iterations is not None else {})
+    )
     return run_experiment(
         workload,
         scheduler,

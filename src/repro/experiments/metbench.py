@@ -47,7 +47,9 @@ def run_one(
     keep_trace: bool = True,
 ) -> ExperimentResult:
     """Run MetBench under one scheduler configuration."""
-    workload = MetBench(**({"iterations": iterations} if iterations else {}))
+    workload = MetBench(
+        **({"iterations": iterations} if iterations is not None else {})
+    )
     return run_experiment(
         workload,
         scheduler,

@@ -215,10 +215,18 @@ def run_synth_sweep(
     Returns ``{"cells": [{"imbalance": I, "ranks": N, "results":
     {scheduler: ExperimentResult}}, ...]}``.  Campaign users usually
     want the ``synth-sweep`` preset instead, which expands the same
-    grid into separately cached runs.
+    grid into separately cached runs.  Infeasible cells are dropped
+    as :func:`unbalanced_sweep` documents; a grid with no feasible cell
+    raises :class:`ValueError`.
     """
+    grid = unbalanced_sweep(imbalances=imbalances, ranks=ranks)
+    if not grid:
+        raise ValueError(
+            f"no feasible cell (1 <= imbalance <= ranks) in imbalances "
+            f"{list(imbalances)} x ranks {list(ranks)}"
+        )
     cells = []
-    for cell in unbalanced_sweep(imbalances=imbalances, ranks=ranks):
+    for cell in grid:
         results = run_synth_scatter(
             imbalance=cell["imbalance"],
             ranks=cell["ranks"],

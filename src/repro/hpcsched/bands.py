@@ -11,14 +11,10 @@ kernel plumbing, three small pieces of math:
 * the **history mean** reconstructing ``Ug(i-1)`` from a utilization
   history.
 
-Two consumers share this module so they cannot drift: the kernel-side
-:class:`~repro.hpcsched.heuristics.Heuristic` classes driven by the
-Load Imbalance Detector, and the service-side
-:class:`~repro.serve.scheduler.FairShareBalancer` that applies the same
-bands to per-tenant *service* utilization to assign worker-slot
-priorities (`repro.serve` dogfoods the paper's detector at the job
-layer).  Everything here is deliberately free of kernel, task, and
-tunables types.
+The kernel-side :class:`~repro.hpcsched.heuristics.Heuristic` classes
+driven by the Load Imbalance Detector use these functions, and
+:mod:`repro.hpcsched` exports them.  Everything here is deliberately
+free of kernel, task, and tunables types.
 """
 
 from __future__ import annotations

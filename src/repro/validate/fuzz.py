@@ -268,6 +268,8 @@ def run_fuzz(
     campaign ends there.  ``on_case`` is an optional progress callback
     receiving each :class:`FuzzCase`.
     """
+    if count < 1:
+        raise ValueError(f"need at least one scenario, got {count}")
     try:
         generate = POOL_GENERATORS[pool]
     except KeyError:

@@ -50,6 +50,8 @@ class AMRDrift(Workload):
     ) -> None:
         if ranks < 2:
             raise ValueError("AMR drift needs at least 2 ranks")
+        if iterations < 1:
+            raise ValueError(f"need at least one iteration, got {iterations}")
         self.ranks = ranks
         self.iterations = iterations
         self.total_work = total_work

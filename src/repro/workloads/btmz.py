@@ -72,6 +72,8 @@ class BTMZ(Workload):
         )
         if len(self.zone_works) < 2:
             raise ValueError("BT-MZ needs at least two ranks")
+        if iterations < 1:
+            raise ValueError(f"need at least one iteration, got {iterations}")
         self.iterations = iterations
         self.profile = profile
         self.cpus = (

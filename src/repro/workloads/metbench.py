@@ -46,6 +46,8 @@ class MetBench(Workload):
         cpus: Optional[Sequence[int]] = None,
         master_cpu: int = 0,
     ) -> None:
+        if iterations < 1:
+            raise ValueError(f"need at least one iteration, got {iterations}")
         #: Per-worker loads; the default alternates small/big so that
         #: each POWER5 core hosts one small and one big worker.
         self.loads: List[float] = list(

@@ -13,6 +13,8 @@ from repro.campaign import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RETRYING,
+    canonical_json,
+    execute_runspec,
 )
 
 STUBS = "tests.campaign.stubs"
@@ -60,6 +62,21 @@ def test_crash_is_recorded_not_fatal(tmp_path):
     assert failed.status == STATUS_FAILED
     assert "injected crash" in failed.error
     assert "RuntimeError" in failed.error  # full traceback captured
+
+
+def test_execute_runspec_returns_status_tuples_and_never_raises():
+    # The pool workers call this in forked processes; call it in-process.
+    ok = stub("ok_run", seed=3, value=2.0)
+    status, data, wall = execute_runspec(ok.to_payload())
+    assert status == "ok"
+    assert data == canonical_json({"seed": 3, "value": 7.0, "tag": "x"})
+    assert wall >= 0.0
+
+    unknown = RunSpec(experiment="no-such-exp")
+    status, data, wall = execute_runspec(unknown.to_payload())
+    assert status == "error"
+    assert "KeyError" in data and "no-such-exp" in data
+    assert wall >= 0.0
 
 
 def test_retry_then_succeed(tmp_path):

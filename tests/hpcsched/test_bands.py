@@ -1,7 +1,7 @@
-"""The shared band arithmetic (repro.hpcsched.bands).
+"""The band arithmetic (repro.hpcsched.bands).
 
-One implementation serves both the kernel heuristics and the service
-balancer, so these tests pin its semantics once for both consumers.
+The kernel heuristics delegate to these pure functions, so these tests
+pin their semantics without a kernel.
 """
 
 import pytest
@@ -72,9 +72,8 @@ class TestGlobalBeforeLast:
 
 
 def test_kernel_heuristics_share_the_band_code():
-    """The kernel heuristics delegate to the same functions — a drift
-    between kernel and service band behaviour is impossible by
-    construction."""
+    """The kernel heuristics delegate to the same functions, so the
+    tests above pin the kernel's band behaviour."""
     from repro.hpcsched import heuristics
 
     assert heuristics.band_target is band_target

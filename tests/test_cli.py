@@ -50,6 +50,15 @@ def test_run_table3_with_iterations(capsys):
     assert "improvement uniform over cfs" in out
 
 
+@pytest.mark.parametrize("iterations", ["0", "-1"])
+@pytest.mark.parametrize("experiment", ["table3", "table4", "table5", "amr"])
+def test_run_rejects_fewer_than_one_iteration(capsys, experiment, iterations):
+    assert main(["run", experiment, "--iterations", iterations]) == 2
+    captured = capsys.readouterr()
+    assert f"need at least one iteration, got {iterations}" in captured.err
+    assert captured.out == ""
+
+
 def test_cluster_both_placements(capsys):
     assert main(["cluster", "--nodes", "2", "--iterations", "1"]) == 0
     out = capsys.readouterr().out
@@ -113,6 +122,9 @@ def test_cluster_json_reports_the_serial_run(capsys):
         ["cluster", "--workers", "inline"],
         ["validate", "--quick"],
         ["validate", "--workers", "process"],
+        ["serve"],
+        ["serve", "--smoke"],
+        ["submit", "table3", "--tenant", "a"],
     ],
     ids=" ".join,
 )
@@ -163,6 +175,16 @@ def test_synth_sweep_prints_cells(capsys):
     assert "I=1" in out and "I=2" in out and "N=4" in out
 
 
+@pytest.mark.parametrize(
+    "grid", [["--ranks", "0"], ["--imbalances", "0.5"]], ids=" ".join
+)
+def test_synth_sweep_rejects_a_grid_with_no_feasible_cell(capsys, grid):
+    assert main(["synth", "sweep", *grid]) == 2
+    captured = capsys.readouterr()
+    assert "no feasible cell" in captured.err
+    assert captured.out == ""
+
+
 def test_synth_rejects_infeasible_imbalance(capsys):
     assert main([
         "synth", "scatter", "--ranks", "4", "--imbalance", "9.0",
@@ -176,3 +198,11 @@ def test_validate_pool_flag(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "pool=synth" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_validate_rejects_fewer_than_one_scenario(capsys, count):
+    assert main(["validate", "--fuzz", count]) == 2
+    captured = capsys.readouterr()
+    assert f"need at least one scenario, got {count}" in captured.err
+    assert captured.out == ""
