@@ -156,7 +156,7 @@ def convergence_metrics(
     ``after_index`` precedes the series, i.e. convergence from
     application start).
     """
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise ValueError(f"eps must be non-negative, got {eps}")
     base_time = 0.0
     for s in samples:

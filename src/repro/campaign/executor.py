@@ -263,14 +263,23 @@ class CampaignExecutor:
         on_event: Optional[Callable[..., None]] = None,
         verify: int = 1,
     ) -> None:
-        self.jobs = max(1, jobs)
+        if not jobs >= 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        for name, value in (
+            ("retries", retries), ("verify", verify), ("backoff", backoff)
+        ):
+            if not value >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        if timeout is not None and not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
+        self.jobs = jobs
         self.timeout = timeout
-        self.retries = max(0, retries)
+        self.retries = retries
         self.backoff = backoff
         self.cache = cache
         self.store = store
         self.on_event = on_event or (lambda kind, **info: None)
-        self.verify = max(0, verify)
+        self.verify = verify
         #: Shared worker-pool lifecycle; safe to use from several
         #: concurrent drains (see :class:`PoolManager`).
         self.pools = PoolManager(self.jobs)

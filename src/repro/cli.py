@@ -600,16 +600,20 @@ def _campaign(args) -> int:
     root = Path(args.out) if args.out else _campaign_dir(campaign.name)
     store = CampaignStore(root)
     cache = ResultCache(root / "cache", enabled=not args.no_cache)
-    executor = CampaignExecutor(
-        jobs=args.jobs,
-        timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
-        cache=cache,
-        store=store,
-        on_event=ProgressPrinter(len(campaign.runs)),
-        verify=args.verify,
-    )
+    try:
+        executor = CampaignExecutor(
+            jobs=args.jobs,
+            timeout=args.timeout,
+            retries=args.retries,
+            backoff=args.backoff,
+            cache=cache,
+            store=store,
+            on_event=ProgressPrinter(len(campaign.runs)),
+            verify=args.verify,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         result = executor.run(campaign)
     except CampaignConsistencyError as exc:
@@ -767,7 +771,11 @@ def _export(args) -> int:
     kwargs = {"keep_trace": True}
     if args.iterations is not None and args.workload != "siesta":
         kwargs["iterations"] = args.iterations
-    result = mod.run_one(args.scheduler, **kwargs)
+    try:
+        result = mod.run_one(args.scheduler, **kwargs)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     paths = write_bundle(result, args.out)
     print(f"exec time: {result.exec_time:.2f}s")
     for p in paths:

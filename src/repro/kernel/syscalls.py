@@ -67,7 +67,7 @@ class Compute:
     __slots__ = ("work",)
 
     def __init__(self, work: float) -> None:
-        if work < 0:
+        if not work >= 0:  # also rejects NaN
             raise ValueError(f"negative work {work}")
         self.work = work
 
@@ -79,7 +79,7 @@ class Sleep(KernelRequest):
     """Block for a fixed amount of simulated time."""
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN
             raise ValueError(f"negative sleep {duration}")
         self.duration = duration
 

@@ -43,7 +43,7 @@ pinned against a sorted-list model in ``tests/simcore/test_queue_property.py``.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, Tuple
 
 #: ``order = priority * SEQ_SPAN + seq`` packs the (priority, seq)
 #: tie-break into one int.  2^48 sequence numbers per priority level is
@@ -58,9 +58,9 @@ class Event(list):
 
     Layout: ``[order, fn, time, label, queue]``.  The queue slot is the
     owning :class:`EventQueue` while pending, ``False`` after delivery,
-    ``None`` after cancellation (or ``clear()``); the
-    delivered/cancelled distinction lets a mid-drain ``clear()``
-    reconcile the engine's batched counters exactly.
+    ``None`` after cancellation.  The delivered marker keeps a bucket
+    scan from counting the consumed prefix of the bucket being drained
+    as pending or as cancelled corpses.
 
     The inherited C list comparison orders same-instant events by their
     packed ``order`` int (all a bucket sort ever compares); it is *not*
@@ -111,9 +111,8 @@ class Event(list):
         q = self[4]
         if q.__class__ is EventQueue:
             # Pending: keep the queue's counters exact.  A post-delivery
-            # cancel leaves the delivered marker (False) in place so the
-            # mid-drain clear() reconciliation still counts the event as
-            # delivered.
+            # cancel leaves the delivered marker (False) and the
+            # counters untouched.
             self[4] = None
             q._cancelled += 1
             corpses = q._corpses + 1
@@ -134,11 +133,10 @@ class EventQueue:
     """A cancellable, bucketed priority queue of :class:`Event` objects.
 
     ``len()`` is derived — ``pushed - delivered - cancelled`` — so the
-    push path maintains a single counter.  In exchange, delivery updates
-    are *batched per instant* inside the storm stage of
-    :meth:`repro.simcore.engine.Simulator.run`; the counters are exact at
-    every instant boundary, and at every event boundary in the general
-    stage (which the validation oracle observes).
+    push path maintains a single counter.  The only consumer is
+    :meth:`repro.simcore.engine.Simulator.run`, which updates the
+    delivered count per event, so ``len()`` is exact at every event
+    boundary (the validation oracle asserts it at each delivery).
     """
 
     __slots__ = (
@@ -150,16 +148,13 @@ class EventQueue:
         "_corpses",
         "_unsorted",
         "_draining",
-        "_drain_bucket",
-        "_clear_epoch",
-        "_flushed",
     )
 
     def __init__(self) -> None:
         #: time -> Event (singleton instant) or list of Events.
         self._buckets: dict = {}
-        #: Distinct pending timestamps (heapq; may hold stale entries
-        #: for buckets already drained — consumers skip those).
+        #: Distinct pending timestamps (heapq): exactly the keys of
+        #: ``_buckets``, except the instant the run loop is draining.
         self._times: list = []
         self._seq = 0
         self._delivered = 0
@@ -173,16 +168,6 @@ class EventQueue:
         #: True while a run loop drains this queue: compaction would
         #: desynchronize the live bucket iteration, so it is skipped.
         self._draining = False
-        #: The list bucket the storm stage is currently delivering with
-        #: batched counters (None otherwise); lets a mid-drain clear()
-        #: reconcile the in-flight deliveries.
-        self._drain_bucket: Optional[list] = None
-        #: Bumped by clear(); the storm stage detects a mid-bucket clear
-        #: by comparing against the value snapshot at bucket start.
-        self._clear_epoch = 0
-        #: Deliveries of the interrupted bucket, counted by clear() for
-        #: the storm stage to fold into ``events_processed``.
-        self._flushed = 0
 
     def __len__(self) -> int:
         return self._seq - self._delivered - self._cancelled
@@ -217,8 +202,8 @@ class EventQueue:
             # every barrier-width instant pays one tail sort per event.
             # An already-flagged bucket is sorted at drain regardless,
             # so comparing only the tail stays sound.  A list bucket is
-            # never empty (pop/_head/_compact prune emptied instants,
-            # clear drops the dict wholesale), so the tail index is safe.
+            # never empty (the run loop and _compact prune emptied
+            # instants), so the tail index is safe.
             if b[-1][0] > order:
                 self._unsorted.add(time)
             b.append(ev)
@@ -228,108 +213,7 @@ class EventQueue:
                 self._unsorted.add(time)
         return ev
 
-    # -- pop / peek ----------------------------------------------------
-    def _head(self) -> Optional[Tuple[float, Any]]:
-        """(time, bucket) of the earliest instant with a live event,
-        dropping stale time entries and leading corpses on the way.
-        List buckets are sorted if flagged, so ``bucket[0]`` (or the
-        singleton itself) is the next event to fire."""
-        buckets = self._buckets
-        times = self._times
-        while times:
-            t = times[0]
-            b = buckets.get(t)
-            if b is None:
-                heapq.heappop(times)
-                continue
-            if type(b) is not list:
-                if b[1] is None:
-                    heapq.heappop(times)
-                    del buckets[t]
-                    self._corpses -= 1
-                    continue
-                return t, b
-            if t in self._unsorted:
-                b.sort()
-                self._unsorted.discard(t)
-            while b and b[0][1] is None:
-                del b[0]
-                self._corpses -= 1
-            if not b:
-                heapq.heappop(times)
-                del buckets[t]
-                continue
-            return t, b
-        return None
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest pending event, skipping
-        cancelled entries.  Returns ``None`` when the queue is
-        exhausted."""
-        head = self._head()
-        if head is None:
-            return None
-        t, b = head
-        if type(b) is not list:
-            heapq.heappop(self._times)
-            del self._buckets[t]
-            ev = b
-        else:
-            ev = b[0]
-            del b[0]
-            if not b:
-                heapq.heappop(self._times)
-                del self._buckets[t]
-        ev[4] = False
-        self._delivered += 1
-        return ev
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if empty."""
-        head = self._head()
-        return None if head is None else head[0]
-
     # -- bulk operations ----------------------------------------------
-    def clear(self) -> None:
-        """Drop every pending event, marking each one cancelled so held
-        handles stop reporting ``active``.
-
-        Safe mid-drain: every list bucket is emptied *in place* (which
-        ends the engine's live iteration), and if the storm stage was
-        mid-bucket its already-delivered events — identified by the
-        ``False`` queue marker, counted only from the registered drain
-        bucket because the general stage's deliveries are already in the
-        counters — are folded into ``_delivered`` here.  The epoch bump
-        tells the storm stage to skip its own (now stale) batched
-        bucket-end reconciliation.
-        """
-        drain_b = self._drain_bucket
-        flushed = 0
-        if drain_b is not None:
-            for ev in drain_b:
-                if ev[4] is False:
-                    flushed += 1
-        for b in self._buckets.values():
-            if type(b) is list:
-                for ev in b:
-                    if ev[4].__class__ is EventQueue:
-                        ev[1] = None
-                        ev[4] = None
-                b.clear()
-            elif b[4].__class__ is EventQueue:
-                b[1] = None
-                b[4] = None
-        self._buckets.clear()
-        self._times.clear()
-        self._unsorted.clear()
-        self._delivered += flushed
-        self._cancelled = self._seq - self._delivered
-        self._corpses = 0
-        if drain_b is not None:
-            self._flushed += flushed
-            self._clear_epoch += 1
-            self._drain_bucket = None
-
     def _compact(self) -> None:
         """Drop cancelled corpses from every bucket and prune emptied
         instants.  A no-op while a run loop is draining (removal would

@@ -114,13 +114,6 @@ class ChainFamily:
         self.sim = sim
         self.interval = interval
         self.priority = priority
-        # Chain families are the only consumers of ``sim.cur_event_prio``
-        # (the re-arm tie walk).  Registering here lets the engine's
-        # storm stage skip priority tracking entirely until the first family
-        # exists — including kernels constructed mid-run, whose chains
-        # anchor at or after ``now`` and are therefore first observable
-        # at an instant the storm stage re-checks this counter.
-        sim._ff_users += 1
         self.chains: Dict[Any, TimerChain] = {}
         #: Number of currently-parked chains (fast guard for edge hooks).
         self.parked = 0

@@ -79,7 +79,7 @@ class KernelOracles:
 
     # -- simcore -------------------------------------------------------
     def on_event(self, event: "Event") -> None:
-        """Fired by :meth:`Simulator.step` for every delivered event."""
+        """Fired by :meth:`Simulator.run` for every delivered event."""
         self.checks += 1
         if event.cancelled:
             self._fail(f"cancelled event delivered: {event!r}")

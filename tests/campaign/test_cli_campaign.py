@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -92,3 +94,35 @@ def test_run_bad_param_syntax():
 
     with pytest.raises(SystemExit):
         main(["run", "fig2", "--param", "oops"])
+
+
+_BAD_SETTINGS = [
+    ("--jobs", "0", "jobs must be at least 1, got 0"),
+    ("--retries", "-1", "retries must be non-negative, got -1"),
+    ("--verify", "-1", "verify must be non-negative, got -1"),
+    ("--backoff", "-1", "backoff must be non-negative, got -1.0"),
+    ("--backoff", "nan", "backoff must be non-negative, got nan"),
+    ("--timeout", "0", "timeout must be positive, got 0.0"),
+    ("--timeout", "-1", "timeout must be positive, got -1.0"),
+    ("--timeout", "nan", "timeout must be positive, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    _BAD_SETTINGS,
+    ids=[f"{flag} {value}" for flag, value, _ in _BAD_SETTINGS],
+)
+def test_campaign_run_rejects_bad_executor_settings(
+    tmp_path, capsys, flag, value, message
+):
+    """Out-of-range settings exit 2 before any run starts, instead of
+    being clamped or silently read as "off"."""
+    argv = [
+        "campaign", "run", "--experiments", "fig1",
+        "--out", str(tmp_path / "c"), flag, value,
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "OK" not in captured.out

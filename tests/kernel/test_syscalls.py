@@ -14,14 +14,16 @@ from repro.kernel.syscalls import (
 
 
 def test_compute_rejects_negative():
-    with pytest.raises(ValueError):
-        Compute(-1.0)
+    for work in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            Compute(work)
     assert Compute(0.0).work == 0.0
 
 
 def test_sleep_rejects_negative():
-    with pytest.raises(ValueError):
-        Sleep(-0.1)
+    for duration in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            Sleep(duration)
 
 
 def test_sleep_zero_continues_immediately(quiet_kernel):

@@ -3,9 +3,9 @@
 The model is deliberately naive: a plain list of ``(time, priority,
 seq)`` entries with cancel flags, filtered and sorted on every query.
 It states the contract the bucketed :class:`repro.simcore.events.EventQueue`
-must meet — pop order ``(time, priority, seq)``, cancelled entries never
-surface, exact pending count — with no structure the implementation
-could share a bug with.
+must meet as ``Simulator.run`` drains it — delivery order ``(time,
+priority, seq)``, cancelled entries never surface, exact pending count —
+with no structure the implementation could share a bug with.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ class ModelEvent:
 
 
 class ModelQueue:
-    """The queue operations the engine relies on, over a sorted list."""
+    """The queue operations the engine relies on, over a sorted list;
+    ``pop`` is the engine's next delivery."""
 
     def __init__(self) -> None:
         self.entries: List[ModelEvent] = []
@@ -54,15 +55,6 @@ class ModelQueue:
             return None
         self.entries = [ev for ev in self.entries if ev is not live[0]]
         return live[0]
-
-    def peek_time(self) -> Optional[float]:
-        live = self._live()
-        return live[0].time if live else None
-
-    def clear(self) -> None:
-        for ev in self.entries:
-            ev.cancel()
-        self.entries = []
 
     def compact(self) -> None:
         self.entries = [ev for ev in self.entries if not ev.cancelled]

@@ -30,13 +30,20 @@ def test_scheduling_in_the_past_raises():
     sim = Simulator()
     sim.after(1.0, lambda: None)
     sim.run()
-    with pytest.raises(SimulationError):
-        sim.at(0.5, lambda: None)
+    # NaN compares false against everything: a `time < now` guard
+    # would let it in, and the run would move the clock nan -> 1.0.
+    for time in (0.5, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.at(time, lambda: None)
+    assert len(sim.queue) == 0
 
 
 def test_negative_delay_raises():
-    with pytest.raises(SimulationError):
-        Simulator().after(-1.0, lambda: None)
+    sim = Simulator()
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.after(delay, lambda: None)
+    assert len(sim.queue) == 0
 
 
 def test_run_until_stops_clock_at_horizon():
@@ -168,10 +175,6 @@ def test_livelock_guard():
         sim.run()
 
 
-def test_step_returns_false_when_empty():
-    assert Simulator().step() is False
-
-
 def test_not_reentrant():
     sim = Simulator()
     err = {}
@@ -187,38 +190,42 @@ def test_not_reentrant():
     assert "e" in err
 
 
-def test_step_inside_run_is_rejected():
-    """Regression: step() from inside a callback used to deliver the
-    next queued instant in the middle of the run's bucket drain — with
-    [a, b, c, d] at t=1.0 and e at t=2.0 the run fired a, e, b, c, d,
-    moved the clock back from 2.0 to 1.0 and counted 4 deliveries for
-    5.  step() is now refused while run() is delivering."""
+def test_handler_error_leaves_run_resumable():
+    """A handler that raises mid-instant propagates out of run(); the
+    consumed prefix is gone, the rest of the instant stays queued, the
+    counters are exact, and a second run() delivers the remainder."""
     sim = Simulator()
     fired = []
-    clock = []
-    err = {}
 
-    def a():
-        fired.append("a")
-        try:
-            sim.step()
-        except SimulationError as exc:
-            err["e"] = exc
+    def boom():
+        fired.append("boom")
+        raise ValueError("handler failed")
 
-    def log(name):
-        fired.append(name)
-        clock.append(sim.now)
-
-    sim.at(1.0, a)
-    for name in "bcd":
-        sim.at(1.0, lambda name=name: log(name))
-    sim.at(2.0, lambda: log("e"))
+    sim.at(1.0, lambda: fired.append("a"))
+    sim.at(1.0, boom)
+    sim.at(1.0, lambda: fired.append("c"))
+    sim.at(2.0, lambda: fired.append("d"))
+    with pytest.raises(ValueError, match="handler failed"):
+        sim.run()
+    assert fired == ["a", "boom"]
+    assert sim.events_processed == 2
+    assert len(sim.queue) == 2
+    assert sim.queue.live_count_check() == (2, 2)
     sim.run()
-    assert "not reentrant" in str(err["e"])
-    assert fired == ["a", "b", "c", "d", "e"]
-    assert clock == sorted(clock) == [1.0, 1.0, 1.0, 2.0]
-    assert sim.events_processed == 5
+    assert fired == ["a", "boom", "c", "d"]
+    assert sim.events_processed == 4
     assert len(sim.queue) == 0
+
+
+def test_queued_event_before_the_clock_raises():
+    """The run loop refuses an instant earlier than the clock (only
+    reachable by moving ``now`` by hand) and leaves it queued."""
+    sim = Simulator()
+    sim.at(1.0, lambda: None)
+    sim.now = 2.0
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run()
+    assert len(sim.queue) == 1
 
 
 def test_events_processed_counter():
@@ -263,17 +270,27 @@ def test_defer_nested_drains_same_instant():
     assert log == ["d1", "d2", "next-event"]
 
 
-def test_defer_drained_in_step_and_oracle_path():
-    """Both Simulator.step and the general (until=...) run path drain
-    deferred work."""
+def test_defer_drained_in_horizon_and_oracle_runs():
+    """Runs with a horizon and runs with an oracle installed drain
+    deferred work like any other run."""
+
+    class Oracle:
+        def __init__(self):
+            self.seen = []
+
+        def on_event(self, ev):
+            self.seen.append(ev.label)
+
     sim = Simulator()
     log = []
     sim.after(1.0, lambda: sim.defer(lambda: log.append("a")))
-    assert sim.step() is True
-    assert log == ["a"]
-    sim.after(1.0, lambda: sim.defer(lambda: log.append("b")))
     sim.run(until=10.0)
+    assert log == ["a"]
+    sim.oracle = Oracle()
+    sim.after(1.0, lambda: sim.defer(lambda: log.append("b")), label="b")
+    sim.run()
     assert log == ["a", "b"]
+    assert sim.oracle.seen == ["b"]
 
 
 def test_storm_chain_deterministic_event_count():

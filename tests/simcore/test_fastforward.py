@@ -90,29 +90,17 @@ def test_batched_loop_enforces_event_limit():
 
 
 def test_cur_event_prio_visible_during_delivery():
-    # The general stage (a horizon) tracks every event's priority.
-    sim = Simulator()
-    seen = []
-    sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
-    sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
-    sim.run(until=2.0)
-    assert seen == [4, 7]
-    assert sim.cur_event_prio is None
-
-
-def test_cur_event_prio_visible_with_ff_users_fastcore():
-    # The storm stage tracks the delivering event's priority only while
-    # fast-forward chain families are registered (``_ff_users``) — they
-    # are the sole consumer of ``cur_event_prio``.  Kernels bump the
-    # counter at construction.
-    sim = Simulator()
-    sim._ff_users += 1
-    seen = []
-    sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
-    sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
-    sim.run()
-    assert seen == [4, 7]
-    assert sim.cur_event_prio is None
+    # Every delivery stores the event's priority, with or without a
+    # horizon; outside a run it reads None.
+    for until in (None, 2.0):
+        sim = Simulator()
+        seen = []
+        sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
+        sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
+        sim.at(1.5, lambda: seen.append(sim.cur_event_prio), priority=-2)
+        sim.run(until=until)
+        assert seen == [4, 7, -2]
+        assert sim.cur_event_prio is None
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,12 @@
 The queue answers ``len()`` from O(1) push/deliver/cancel counters and
 schedules bulk compaction from an O(1) ``_corpses`` counter.  Those
 counters are mutated by ``Event.cancel`` (with its compaction
-threshold), ``EventQueue.pop``/``peek_time``/``clear``/``_compact``, and
-the two stages of ``Simulator.run``: the storm stage, which batches its
-delivery counts per instant (lean body, and the body with a
-``stop_when`` predicate), and the per-event general stage (a horizon).
-This suite drives random interleavings — including ``clear()`` fired
-from inside a handler mid-drain and cancels of other pending events
-from inside a handler — and asserts after every step that the counters
-match an O(n) bucket scan.
+threshold), ``EventQueue._compact`` and the run loop of
+``Simulator.run``, which counts each delivery as it happens.  This
+suite drives random interleavings — including handlers that cancel
+every pending event mid-drain and handlers that cancel other pending
+events — and asserts after every step, inside handlers included, that
+the counters match an O(n) bucket scan.
 """
 
 import pytest
@@ -23,15 +21,12 @@ from repro.simcore.events import EventQueue
 def check_counters(q: EventQueue) -> None:
     """Assert the O(1) counters against an O(n) bucket scan.
 
-    Mid-drain, the storm stage's in-flight bucket holds events already
-    delivered (queue marker ``False``) that its batched counters only
-    fold in at the end of the instant, and the general stage drops the
-    corpses it has stepped over only at the end of the instant; outside
-    a run both must be exact."""
+    The live count is exact at every event boundary.  Mid-drain, the
+    bucket being delivered still holds the corpses the loop has stepped
+    over (it drops its consumed prefix at the end of the instant), so
+    only there may the scan see more corpses than ``_corpses``."""
     tracked, actual = q.live_count_check()
-    b = q._drain_bucket
-    in_flight = 0 if b is None else sum(1 for ev in b if ev[4] is False)
-    assert len(q) == tracked == actual + in_flight
+    assert len(q) == tracked == actual
     corpses = 0
     for b in q._buckets.values():
         for ev in b if type(b) is list else (b,):
@@ -44,11 +39,11 @@ def check_counters(q: EventQueue) -> None:
 
 
 # ----------------------------------------------------------------------
-# Pure-queue interleavings (no engine)
+# Interleavings between runs
 # ----------------------------------------------------------------------
 #: op, arg — arg indexes into the currently-held handles where relevant.
 _OPS = st.tuples(
-    st.sampled_from(["push", "cancel", "pop", "peek", "clear", "compact"]),
+    st.sampled_from(["push", "cancel", "deliver", "until", "compact"]),
     st.integers(min_value=0, max_value=1 << 16),
 )
 
@@ -56,22 +51,21 @@ _OPS = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_OPS, max_size=120))
 def test_property_counters_match_scan_under_random_ops(ops):
-    q = EventQueue()
+    sim = Simulator()
+    q = sim.queue
     handles = []
     t = 0.0
     for op, arg in ops:
         if op == "push":
-            t += (arg % 7) * 0.125  # repeats exercise tie-breaking
+            t = max(t, sim.now) + (arg % 7) * 0.125  # repeats tie-break
             handles.append(q.push(t, lambda: None))
         elif op == "cancel" and handles:
-            # Double-cancels and cancels of popped events included.
+            # Double-cancels and cancels of delivered events included.
             handles[arg % len(handles)].cancel()
-        elif op == "pop":
-            q.pop()
-        elif op == "peek":
-            q.peek_time()
-        elif op == "clear":
-            q.clear()
+        elif op == "deliver":
+            sim.run(stop_when=lambda: True)
+        elif op == "until":
+            sim.run(until=sim.now + (arg % 5) * 0.125)
         elif op == "compact":
             q._compact()
         check_counters(q)
@@ -96,17 +90,20 @@ def test_property_compaction_threshold_never_drifts(n_cancel, n_keep):
 
 
 # ----------------------------------------------------------------------
-# Engine-loop interleavings: both run stages
+# Interleavings inside a run
 # ----------------------------------------------------------------------
-def _storm(sim, n_events, clear_at, cancel_stride):
-    """Schedule a burst where handler ``clear_at`` clears the queue
-    mid-drain and every ``cancel_stride``-th handler cancels the next
-    pending event (possibly one at the same instant)."""
+def _storm(sim, n_events, cancel_all_at, cancel_stride):
+    """Schedule a burst where handler ``cancel_all_at`` cancels every
+    pending event mid-drain (its own instant's tail included) and every
+    ``cancel_stride``-th handler cancels the next pending event
+    (possibly one at the same instant)."""
     pending = []
 
     def handler(i):
-        if i == clear_at:
-            sim.queue.clear()
+        if i == cancel_all_at:
+            for ev in pending:
+                ev.cancel()
+            check_counters(sim.queue)
             return
         if cancel_stride and i % cancel_stride == 0:
             for ev in pending:
@@ -116,7 +113,7 @@ def _storm(sim, n_events, clear_at, cancel_stride):
         check_counters(sim.queue)
 
     for i in range(n_events):
-        # Duplicate timestamps exercise the batched same-instant group.
+        # Duplicate timestamps exercise same-instant buckets.
         pending.append(
             sim.at((i // 4) * 0.001, lambda i=i: handler(i), priority=i % 3)
         )
@@ -124,28 +121,27 @@ def _storm(sim, n_events, clear_at, cancel_stride):
 
 
 def _predicate(with_predicate):
-    """A never-true ``stop_when`` selects the storm stage's per-event
-    body; ``None`` keeps its lean body."""
+    """A never-true ``stop_when`` predicate, or none."""
     return (lambda: False) if with_predicate else None
 
 
 @pytest.mark.parametrize("with_predicate", [True, False])
-@pytest.mark.parametrize("clear_at", [-1, 0, 17, 39])
+@pytest.mark.parametrize("cancel_all_at", [-1, 0, 17, 39])
 @pytest.mark.parametrize("cancel_stride", [0, 1, 3])
-def test_engine_drain_counters(with_predicate, clear_at, cancel_stride):
+def test_engine_drain_counters(with_predicate, cancel_all_at, cancel_stride):
     sim = Simulator()
-    _storm(sim, 40, clear_at, cancel_stride)
+    _storm(sim, 40, cancel_all_at, cancel_stride)
     sim.run(stop_when=_predicate(with_predicate))
     check_counters(sim.queue)
     assert len(sim.queue) == 0
 
 
 @pytest.mark.parametrize("with_predicate", [True, False])
-def test_engine_general_path_counters(with_predicate):
-    # until= forces the general (per-event) stage with or without a
+def test_engine_horizon_counters(with_predicate):
+    # A horizon splits the burst across two runs, with or without a
     # stop_when predicate.
     sim = Simulator()
-    pending = _storm(sim, 40, clear_at=-1, cancel_stride=2)
+    pending = _storm(sim, 40, cancel_all_at=-1, cancel_stride=2)
     sim.run(until=0.004, stop_when=_predicate(with_predicate))
     check_counters(sim.queue)
     sim.run(until=1.0, stop_when=_predicate(with_predicate))
@@ -194,18 +190,3 @@ def test_mass_cancel_inside_handler_defers_compaction(with_predicate):
     assert survivor._queue is None
     check_counters(sim.queue)
     assert sim.queue._corpses == 0
-
-
-def test_clear_during_batched_same_instant_group():
-    # Three events at one instant; the first clears the queue.  The
-    # storm stage's batched bucket reconciliation must not double-count
-    # the two entries clear() already removed.
-    sim = Simulator()
-    fired = []
-    sim.at(0.0, lambda: (fired.append("a"), sim.queue.clear()), priority=0)
-    sim.at(0.0, lambda: fired.append("b"), priority=1)
-    sim.at(0.0, lambda: fired.append("c"), priority=2)
-    sim.run()
-    assert fired == ["a"]
-    assert sim.events_processed == 1
-    check_counters(sim.queue)

@@ -166,6 +166,26 @@ def test_synth_convergence_prints_metrics(capsys):
     assert "uniform" in out and "adaptive" in out
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_synth_convergence_rejects_a_bad_eps(capsys, eps):
+    assert main([
+        "synth", "convergence", "--ranks", "4", "--iterations", "4",
+        "--eps", eps,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert f"eps must be non-negative, got {float(eps)}" in captured.err
+
+
+def test_export_rejects_fewer_than_one_iteration(capsys, tmp_path):
+    out = tmp_path / "art"
+    assert main([
+        "export", "metbench", "cfs", "--iterations", "0", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "need at least one iteration, got 0" in captured.err
+    assert not out.exists()
+
+
 def test_synth_sweep_prints_cells(capsys):
     assert main([
         "synth", "sweep", "--imbalances", "1.0,2.0", "--ranks", "4",

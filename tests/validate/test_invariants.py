@@ -143,6 +143,27 @@ def test_on_event_rejects_time_travel(oracles):
         oracles.on_event(early)
 
 
+def test_on_event_rejects_live_count_desync(oracles):
+    """The run loop counts each delivery as it happens, so the oracle
+    sees a corrupted live counter at the very next delivery, inside the
+    same instant."""
+    sim = oracles.kernel.sim
+    fired = []
+
+    def corrupt():
+        fired.append("corrupt")
+        sim.queue._delivered += 1
+
+    sim.at(1.0, corrupt, priority=0)
+    sim.at(1.0, lambda: fired.append("next"), priority=1)
+    sim.at(1.0, lambda: fired.append("last"), priority=2)
+    with pytest.raises(InvariantViolation, match="live count out of sync"):
+        sim.run()
+    assert fired == ["corrupt"]
+    assert sim.now == 1.0
+    assert oracles.violations == 1
+
+
 def test_on_vruntime_rejects_regression(oracles):
     task = oracles.kernel.spawn("t", iter(()), cpu=0)
     task.vruntime = 2.0
