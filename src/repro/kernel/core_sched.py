@@ -46,7 +46,7 @@ from repro.power5.priorities import (
     PriorityError,
     can_set_priority,
 )
-from repro.simcore.engine import Simulator
+from repro.simcore.engine import SimulationError, Simulator
 from repro.simcore.fastforward import ChainFamily
 
 # Event priorities: lower fires first at equal timestamps.  Phase
@@ -60,6 +60,51 @@ EVPRIO_BALANCE = 6
 
 #: Work remainders below this are treated as completed (float dust).
 _WORK_EPSILON = 1e-12
+
+
+class _ReschedBatch:
+    """The CPUs flagged for rescheduling at the current instant, shared
+    by every kernel on one simulator (DESIGN §13).  The first flag of an
+    instant pushes one event at ``(now, EVPRIO_RESCHED)``; its delivery
+    runs ``__schedule`` for each still-flagged CPU in flag order, with
+    the run loop's between-events step after each.  Where the loop would
+    act there, the rest is handed back as one new batch event."""
+
+    __slots__ = ("sim", "entries")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        #: ``(kernel, rq)`` entries in flag order.  ``rq.resched_event``
+        #: holds the live entry of a flagged CPU; a direct ``__schedule``
+        #: clears it, which retires the entry.
+        self.entries: List[Any] = []
+
+    def flag(self, kernel: "Kernel", rq: RunQueue) -> None:
+        entries = self.entries
+        if not entries:
+            self.sim.at(self.sim.now, self.fire, EVPRIO_RESCHED, "resched")
+        rq.resched_event = entry = (kernel, rq)
+        entries.append(entry)
+
+    def fire(self) -> None:
+        sim = self.sim
+        entries = self.entries
+        limit = sim.max_events
+        i = 0
+        try:
+            for entry in entries:
+                i += 1
+                kernel, rq = entry
+                if rq.resched_event is entry:
+                    kernel._schedule(rq.cpu)
+                    if sim.instant_boundary():
+                        break
+                if i > limit:
+                    raise SimulationError(f"event limit {limit} in a batch")
+        finally:
+            del entries[:i]
+            if entries:
+                sim.at(sim.now, self.fire, EVPRIO_RESCHED, "resched")
 
 
 class Kernel:
@@ -99,15 +144,13 @@ class Kernel:
         self._ctxs: Dict[int, Any] = {
             cpu: self.machine.context(cpu) for cpu in self.machine.cpu_ids
         }
-        self._lbl_resched = {c: f"resched/{c}" for c in self.machine.cpu_ids}
         self._lbl_tick = {c: f"tick/{c}" for c in self.machine.cpu_ids}
         self._lbl_balance = {c: f"balance/{c}" for c in self.machine.cpu_ids}
-        #: One reschedule closure per CPU, built once — resched() is the
-        #: hottest event producer and per-call lambda allocation shows up
-        #: in profiles.
-        self._resched_fns = {
-            c: (lambda c=c: self._resched_fire(c)) for c in self.machine.cpu_ids
-        }
+        #: The simulator's reschedule batch, shared by all its kernels.
+        batch = getattr(self.sim, "_resched_batch", None)
+        if batch is None:
+            batch = self.sim._resched_batch = _ReschedBatch(self.sim)
+        self._resched_batch = batch
         self.tunables.subscribe(self._refresh_tunable_cache)
 
         #: Simulated performance counters (decode shares, ST time, ...),
@@ -207,7 +250,7 @@ class Kernel:
         for cpu in self.machine.cpu_ids:
             idle = Task(pid=-(cpu + 1), name=f"swapper/{cpu}")
             idle.policy = SchedPolicy.IDLE
-            idle.sched_class = self.idle_class  # type: ignore[attr-defined]
+            idle.sched_class = self.idle_class
             self.idle_class.register_idle_task(cpu, idle)
             idle.state = TaskState.RUNNING
             idle.cpu = cpu
@@ -247,10 +290,6 @@ class Kernel:
             "(is the HPC class registered?)"
         )
 
-    def class_index(self, sched_class: SchedClass) -> int:
-        """Rank of a class in the priority order (lower beats higher)."""
-        return self._class_rank[id(sched_class)]
-
     # ------------------------------------------------------------------
     # Task lifecycle
     # ------------------------------------------------------------------
@@ -277,8 +316,7 @@ class Kernel:
             cpus_allowed=cpus_allowed,
         )
         self._next_pid += 1
-        task.daemon = daemon  # type: ignore[attr-defined]
-        task.wakeup_pending = False  # type: ignore[attr-defined]
+        task.daemon = daemon
         self.tasks[task.pid] = task
         return task
 
@@ -286,7 +324,7 @@ class Kernel:
         """Make a NEW task runnable (fork + wake_up_new_task)."""
         if task.state != TaskState.NEW:
             raise ValueError(f"{task!r} already started")
-        task.sched_class = self.class_for_policy(task.policy)  # type: ignore[attr-defined]
+        task.sched_class = self.class_for_policy(task.policy)
         if cpu is None:
             cpu = self.balancer.select_cpu(task)
         elif not task.allows_cpu(cpu):
@@ -363,7 +401,7 @@ class Kernel:
             return False
         task.state = TaskState.READY
         cpu = self._select_wake_cpu(task)
-        task.wakeup_pending = True  # type: ignore[attr-defined]
+        task.wakeup_pending = True
         # The class hook runs before the task is queued so the HPC
         # detector can adjust hardware priorities for the new iteration.
         task.sched_class.on_wakeup(task)
@@ -507,7 +545,7 @@ class Kernel:
     ) -> None:
         """Move a task to another policy (and scheduling class)."""
         new_class = self.class_for_policy(policy)
-        old_class = getattr(task, "sched_class", None)
+        old_class = task.sched_class
         rq = self.rqs[task.cpu] if task.cpu is not None else None
         was_queued = task.state == TaskState.READY
         if was_queued:
@@ -516,7 +554,7 @@ class Kernel:
             old_class.task_exit(rq, task)
         task.policy = policy
         task.rt_priority = rt_priority
-        task.sched_class = new_class  # type: ignore[attr-defined]
+        task.sched_class = new_class
         if rq is not None and old_class is not new_class:
             new_class.task_new(rq, task)
         self._trace(task, "setscheduler", policy=policy.name)
@@ -532,7 +570,7 @@ class Kernel:
         """``sched_yield``: reschedule, sending the caller to the tail
         of its queue."""
         if task.state == TaskState.RUNNING and task.cpu is not None:
-            task._sched_yield = True  # type: ignore[attr-defined]
+            task._sched_yield = True
             self.resched(task.cpu)
 
     # ------------------------------------------------------------------
@@ -567,22 +605,11 @@ class Kernel:
     # The scheduler proper
     # ------------------------------------------------------------------
     def resched(self, cpu: int) -> None:
-        """Flag ``cpu`` for rescheduling (deferred to event boundary)."""
+        """Flag ``cpu`` for rescheduling by this instant's batch."""
         rq = self.rqs[cpu]
         rq.need_resched = True
-        if rq.resched_event is None or rq.resched_event.cancelled:
-            rq.resched_event = self.sim.at(
-                self.sim.now,
-                self._resched_fns[cpu],
-                priority=EVPRIO_RESCHED,
-                label=self._lbl_resched[cpu],
-            )
-
-    def _resched_fire(self, cpu: int) -> None:
-        rq = self.rqs[cpu]
-        rq.resched_event = None
-        if rq.need_resched:
-            self.__schedule(cpu)
+        if rq.resched_event is None:
+            self._resched_batch.flag(self, rq)
 
     def _check_preempt(self, cpu: int, woken: Task) -> None:
         rq = self.rqs[cpu]
@@ -602,13 +629,9 @@ class Kernel:
         """Pick the best runnable task on ``cpu`` and switch to it."""
         rq = self.rqs[cpu]
         rq.need_resched = False
-        # A still-pending resched event would fire as a
-        # need_resched=False no-op once this direct path (exit/block/
-        # migrate) has run: cancel it and free its bucket slot.
-        ev = rq.resched_event
-        if ev is not None:
-            rq.resched_event = None
-            ev.cancel()
+        # Retire a still-pending batch entry: this direct path (exit/
+        # block/migrate) has done its work.
+        rq.resched_event = None
         prev = rq.current
 
         # A still-runnable prev (preemption path) goes back to its queue —
@@ -687,7 +710,7 @@ class Kernel:
         task.exec_start = now
         if task.wakeup_pending and task.last_enqueue_time is not None:
             self.latency_stats.record(task, now - task.last_enqueue_time)
-            task.wakeup_pending = False  # type: ignore[attr-defined]
+            task.wakeup_pending = False
         ctx.load(task, task.hw_priority, busy=True)
         # The freshly installed context is excluded from the rebase: its
         # task's phase is (re)started by _start_phase below, and its
@@ -704,10 +727,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Fluid-rate compute phases
     # ------------------------------------------------------------------
-    def _task_rate(self, cpu: int, task: Task) -> float:
-        ctx = self._ctxs[cpu]
-        return ctx.core.context_speed(ctx.thread_index, task.perf_profile)
-
     def _start_phase(self, cpu: int, task: Task, delay: float = 0.0) -> None:
         now = self.sim.now
         ctx = self._ctxs[cpu]

@@ -31,7 +31,7 @@ class IdleClass(SchedClass):
 
     def register_idle_task(self, cpu: int, task: "Task") -> None:
         """Install ``task`` as the per-CPU idle task (boot time)."""
-        task.is_idle_task = True  # type: ignore[attr-defined]
+        task.is_idle_task = True
         self.idle_tasks[cpu] = task
 
     def create_queue(self) -> None:

@@ -92,8 +92,8 @@ class RTClass(SchedClass):
         # A preempted FIFO/RR task that did not exhaust its turn goes back
         # to the *head* of its priority list (it only lost the CPU to a
         # higher-priority task).
-        head = getattr(task, "_rt_requeue_head", False)
-        task._rt_requeue_head = False  # type: ignore[attr-defined]
+        head = task._rt_requeue_head
+        task._rt_requeue_head = False
         rq.queue_for(self).push(task, front=head)
 
     def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
@@ -133,11 +133,11 @@ class RTClass(SchedClass):
 
     def put_prev_task(self, rq: "RunQueue", task: "Task") -> None:
         yielded = task._sched_yield
-        task._sched_yield = False  # type: ignore[attr-defined]
+        task._sched_yield = False
         if yielded:
             return  # sched_yield: go to the tail of the priority list
         if task.policy == SchedPolicy.FIFO or task.rr_slice_left > 0.0:
-            task._rt_requeue_head = True  # type: ignore[attr-defined]
+            task._rt_requeue_head = True
 
     def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
         # Lowest-priority queued RT tasks are cheapest to migrate.

@@ -19,6 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class RunQueue:
     """State of one logical CPU from the scheduler's point of view."""
 
+    __slots__ = (
+        "cpu", "current", "class_queues", "nr_queued", "need_resched",
+        "resched_event", "tick_event", "curr_switched_in_at",
+    )
+
     def __init__(self, cpu: int) -> None:
         self.cpu = cpu
         #: Currently running task (None only transiently; the idle task
@@ -29,12 +34,10 @@ class RunQueue:
         #: Number of queued (not running) tasks across all classes.
         self.nr_queued = 0
         self.need_resched = False
-        #: Pending deferred __schedule() event (dedup guard).
-        self.resched_event: Optional["Event"] = None
+        #: This CPU's live entry in the reschedule batch (dedup guard).
+        self.resched_event: Optional[tuple] = None
         #: Pending tick event.
         self.tick_event: Optional["Event"] = None
-        #: Pending periodic load-balance event.
-        self.balance_event: Optional["Event"] = None
         #: Time the current task was switched in (for slice accounting).
         self.curr_switched_in_at: float = 0.0
 
@@ -50,8 +53,8 @@ class RunQueue:
     @property
     def nr_running(self) -> int:
         """Queued tasks plus the running one (idle task excluded)."""
-        running = 1 if self.current is not None and not getattr(
-            self.current, "is_idle_task", False
+        running = 1 if self.current is not None and not (
+            self.current.is_idle_task
         ) else 0
         return self.nr_queued + running
 

@@ -24,8 +24,18 @@ from repro.power5.priorities import DEFAULT_PRIORITY
 class Task:
     """A schedulable entity."""
 
-    #: Overridden to True on per-CPU idle tasks.
-    is_idle_task = False
+    # Slotted: a cluster holds one Task per rank, and a per-instance
+    # ``__dict__`` would be a third of its heap.
+    __slots__ = (
+        "pid", "name", "program", "policy", "nice", "rt_priority",
+        "perf_profile", "cpus_allowed", "state", "cpu", "hw_priority",
+        "phase_label", "sum_exec_runtime", "exec_start", "vruntime",
+        "rr_slice_left", "last_enqueue_time", "wakeup_pending", "daemon",
+        "_sched_yield", "sleep_reason", "sleeping_on_wait", "phase_remaining",
+        "phase_rate", "phase_started_at", "phase_event", "phase_epoch",
+        "phase_eta", "_syscall_result", "class_data", "on_exit",
+        "sched_class", "is_idle_task", "_rt_requeue_head",
+    )
 
     def __init__(
         self,
@@ -52,6 +62,10 @@ class Task:
         )
 
         self.state = TaskState.NEW
+        #: Scheduling class, set when the task starts.
+        self.sched_class: Any = None
+        #: True only on the per-CPU idle tasks.
+        self.is_idle_task = False
         #: CPU the task last ran on / is queued on.
         self.cpu: Optional[int] = None
         #: POWER5 hardware thread priority restored on context switch.
@@ -80,6 +94,8 @@ class Task:
         self.daemon = False
         #: sched_yield marker consumed by RT put_prev_task.
         self._sched_yield = False
+        #: Set by RT put_prev_task: requeue at the head of the list.
+        self._rt_requeue_head = False
         self.sleep_reason: Optional[str] = None
         #: Set when the task blocked on an MPI wait (iteration boundary
         #: marker for the HPC load-imbalance detector).

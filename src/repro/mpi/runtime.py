@@ -17,8 +17,7 @@ All operations funnel through it:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.mpi.comm import Communicator
 from repro.mpi.messages import LatencyModel, Message
@@ -38,8 +37,9 @@ class _RankState:
     __slots__ = ("unexpected", "posted_recvs", "blocking_recv", "waitall")
 
     def __init__(self) -> None:
-        #: Delivered messages with no matching receive yet.
-        self.unexpected: Deque[Message] = deque()
+        #: Delivered messages with no matching receive yet, in arrival
+        #: order (a list: only appended, scanned and removed from).
+        self.unexpected: List[Message] = []
         #: Posted irecv handles awaiting a message, in post order.
         self.posted_recvs: List[RequestHandle] = []
         #: (source, tag) of an in-progress blocking recv, or None.

@@ -66,6 +66,8 @@ class Simulator:
         #: current event's callback returns, before ``stop_when``.  The
         #: list object is stable so the run loop may bind it locally.
         self._deferred: list[Callable[[], Any]] = []
+        #: The running loop's ``stop_when`` (read by :meth:`instant_boundary`).
+        self._stop_when: Optional[Callable[[], bool]] = None
 
     @property
     def cur_event_prio(self) -> Optional[int]:
@@ -102,6 +104,23 @@ class Simulator:
             deferred.clear()
             for fn in pending:
                 fn()
+
+    def instant_boundary(self) -> bool:
+        """The run loop's step between two same-instant events, for a
+        callback that serves several units of work (the kernel's
+        reschedule batch): drain deferred work, then return True where
+        the loop would act before the next unit — a stop, ``stop_when``,
+        or a push at this instant that sorts ahead of the bucket's rest.
+        The caller then re-queues its remaining units and returns."""
+        if self._deferred:
+            self._run_deferred()
+        if self._stop_requested:
+            self._deferred.append(_stop_sentinel)  # re-signal the loop
+            return True
+        stop_when = self._stop_when
+        return self.now in self.queue._unsorted or (
+            stop_when is not None and stop_when()
+        )
 
     # ------------------------------------------------------------------
     # Scheduling API (hand-inlined EventQueue.push)
@@ -212,6 +231,7 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stop_requested = False
+        self._stop_when = stop_when
         queue = self.queue
         buckets = queue._buckets
         times = queue._times
@@ -309,6 +329,7 @@ class Simulator:
         finally:
             self.events_processed = processed
             self._running = False
+            self._stop_when = None
             self._cur_order = None
             queue._draining = False
         return self.now

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.cluster import Cluster, InterconnectModel
-from repro.cluster.experiment import run_cluster
+from repro.cluster.experiment import ladder_loads, run_cluster
 from repro.cluster.gang import block_placement
 from repro.hpcsched import UniformHeuristic
 from repro.mpi.messages import LatencyModel
@@ -131,6 +131,16 @@ def test_gang_beats_block_and_hpc_compounds():
     assert block_hpc.exec_time == pytest.approx(block_plain.exec_time, rel=0.02)
     # ...but compounds with gang placement
     assert gang_hpc.exec_time < gang_plain.exec_time
+
+
+def test_cluster_event_budget():
+    """16 ranks x 20 iterations deliver about one event per
+    rank-iteration: the phase completion.  The ranks a barrier wakes are
+    installed by one reschedule batch per instant; one event per woken
+    CPU would deliver 708."""
+    res = run_cluster("block", loads=ladder_loads(16), iterations=20, n_nodes=4)
+    assert res.events == 377
+    assert res.exec_time == 71.40039999999999
 
 
 def _barrier_workers(n_ranks, work=0.01, iterations=2):

@@ -54,17 +54,21 @@ def test_campaign_stops_and_minimizes_on_divergence(monkeypatch):
     """A campaign that hits a divergence shrinks it into ``failure`` and
     (by default) stops fuzzing."""
     import repro.validate.fuzz as fuzz
+    from repro.kernel.task import Task
+
+    # Task is slotted: the buggy banking is a slot-less subclass the
+    # hook switches each task to.
+    class Buggy(Task):
+        __slots__ = ()
+
+        def bank_progress(self, now):
+            before = self.phase_remaining
+            Task.bank_progress(self, now)
+            done = before - self.phase_remaining
+            self.phase_remaining = min(before, self.phase_remaining + 0.3 * done)
 
     def bug(task):
-        orig = task.bank_progress
-
-        def buggy(now):
-            before = task.phase_remaining
-            orig(now)
-            done = before - task.phase_remaining
-            task.phase_remaining = min(before, task.phase_remaining + 0.3 * done)
-
-        task.bank_progress = buggy
+        task.__class__ = Buggy
 
     real_run = fuzz.run_differential
     real_shrink = fuzz.shrink

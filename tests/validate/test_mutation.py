@@ -2,16 +2,37 @@
 
 The differential harness exists to catch defects in the fluid-rate
 engine's banked-progress arithmetic.  These tests *inject* such defects
-through the ``mutate_task`` hook (wrapping ``Task.bank_progress`` on
+through the ``mutate_task`` hook (overriding ``Task.bank_progress`` on
 every task of the fluid run) and assert that the harness (a) flags a
 divergence and (b) shrinks it to a small actionable repro.
 """
 
 import pytest
 
+from repro.kernel.task import Task
 from repro.validate.differential import run_differential, shrink
 from repro.validate.fuzz import generate_scenario
 from repro.validate.scenario import ComputeOp, Scenario, TaskSpec
+
+
+def bank_mutation(corrupt):
+    """A ``mutate_task`` hook: every rebank runs the real banking, then
+    ``corrupt(task, before, done)`` falsifies its result.  ``Task`` is
+    slotted, so the override lives on a slot-less subclass that each
+    task is switched to through ``__class__``."""
+
+    class Mutant(Task):
+        __slots__ = ()
+
+        def bank_progress(self, now):
+            before = self.phase_remaining
+            Task.bank_progress(self, now)
+            corrupt(self, before, before - self.phase_remaining)
+
+    def mutate(task):
+        task.__class__ = Mutant
+
+    return mutate
 
 
 def losing_bank_bug(fraction):
@@ -19,40 +40,20 @@ def losing_bank_bug(fraction):
     was just credited is credited *again* (the task appears to have done
     more work than it did — completions land early)."""
 
-    def mutate(task):
-        orig = task.bank_progress
+    def corrupt(task, before, done):
+        task.phase_remaining = max(0.0, task.phase_remaining - fraction * done)
 
-        def buggy(now):
-            before = task.phase_remaining
-            orig(now)
-            done = before - task.phase_remaining
-            task.phase_remaining = max(
-                0.0, task.phase_remaining - fraction * done
-            )
-
-        task.bank_progress = buggy
-
-    return mutate
+    return bank_mutation(corrupt)
 
 
 def forgetting_bank_bug(fraction):
     """The converse defect: ``fraction`` of the banked progress is lost
     on every rebank — completions land late."""
 
-    def mutate(task):
-        orig = task.bank_progress
+    def corrupt(task, before, done):
+        task.phase_remaining = min(before, task.phase_remaining + fraction * done)
 
-        def buggy(now):
-            before = task.phase_remaining
-            orig(now)
-            done = before - task.phase_remaining
-            task.phase_remaining = min(
-                before, task.phase_remaining + fraction * done
-            )
-
-        task.bank_progress = buggy
-
-    return mutate
+    return bank_mutation(corrupt)
 
 
 #: A scenario of two SMT siblings whose staggered completions force a
