@@ -196,14 +196,21 @@ class Cluster:
         pass during it would only re-traverse the live setup graph
         (tasks, programs, per-CPU closures, runqueues).  Reference
         counting still frees everything the run drops.
+
+        Like :meth:`Kernel.run`, it flushes every enabled node PMU to
+        the end time, so the counters cover the whole run.
         """
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return self.sim.run(
+            end = self.sim.run(
                 until=until,
                 stop_when=lambda: self._live_total == 0,
             )
         finally:
             if was_enabled:
                 gc.enable()
+        for node in self.nodes:
+            if node.kernel.pmu_enabled:
+                node.kernel.pmu.finalize(end)
+        return end

@@ -99,6 +99,9 @@ def run_experiment(
     (used with ``scheduler="static"``); ``noise`` optionally adds the
     per-CPU OS-noise daemons; ``topology`` overrides the paper's
     1-chip machine (e.g. for multi-chip scaling studies).
+    ``keep_trace=False`` returns no kernel, trace or launched workload,
+    and the run skips the PMU attribution and raw event log that only
+    those could expose.
     """
     valid = set(SCHEDULERS) | set(HEURISTICS)
     if scheduler not in valid:
@@ -109,6 +112,13 @@ def run_experiment(
     kernel = build_kernel(
         topology=topology, perf_model=perf_model, tunables=tunables
     )
+    if not keep_trace:
+        # The result drops the kernel and the trace, so nothing could
+        # read the PMU counters or the raw event log: record neither.
+        # Timelines and the hw-priority log, which the result does
+        # return, are still built.
+        kernel.pmu_enabled = False
+        kernel.trace = TraceCollector(keep_events=False)
     hpc_class = None
     if scheduler in HEURISTICS:
         hpc_class = attach_hpcsched(kernel, HEURISTICS[scheduler]())

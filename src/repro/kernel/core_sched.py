@@ -158,10 +158,11 @@ class Kernel:
         #: model never reads the clock at construction, so a kernel that
         #: is never inspected (a cluster node) skips the build entirely.
         self._pmu: Optional[Any] = None
-        #: Whether the PMU is advanced on rate changes.  Pure
-        #: observability — it never feeds back into scheduling — so a
-        #: multi-node driver that reads no counters (the cluster, by
-        #: default) can turn it off and skip the per-switch attribution.
+        #: Whether the PMU is advanced on rate changes and finalized by
+        #: :meth:`run`.  Pure observability — it never feeds back into
+        #: scheduling — so a driver that reads no counters (the cluster
+        #: by default, an unkept ``run_experiment``) turns it off and
+        #: skips the per-switch attribution.
         self.pmu_enabled = True
 
         self.rt = RTClass(self)
@@ -700,8 +701,6 @@ class Kernel:
             task.cpu = cpu
             ctx.idle()
             self._rates_changed(ctx.core, skip_ctx=ctx)
-            if self.trace is not None:
-                self._trace(task, "run_idle", cpu=cpu)
             self._update_tick(cpu)
             return
 
@@ -717,7 +716,7 @@ class Kernel:
         # progress was already banked when it left the CPU.
         self._rates_changed(ctx.core, skip_ctx=ctx)
         if self.trace is not None:
-            self._trace(task, "run", cpu=cpu)
+            self.trace.record(now, task, "run", cpu=cpu)
         if task.phase_remaining > _WORK_EPSILON:
             self._start_phase(cpu, task, delay=cost)
         else:
@@ -1180,7 +1179,8 @@ class Kernel:
         """Run the simulation until all non-daemon tasks exit (or until
         the optional time horizon)."""
         end = self.sim.run(until=until, stop_when=lambda: self.live_tasks == 0)
-        self.pmu.finalize(end)
+        if self.pmu_enabled:
+            self.pmu.finalize(end)
         if self.oracles is not None:
             self.oracles.on_run_end(end)
         return end

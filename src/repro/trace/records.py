@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, List, Mapping, NamedTuple, Optional
 
 
 class State(Enum):
@@ -16,19 +16,22 @@ class State(Enum):
     NONE = "none"  # not yet started / exited
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """A raw scheduler event."""
+class TraceEvent(NamedTuple):
+    """A raw scheduler event.
+
+    An immutable tuple, because a kept trace builds one per scheduler
+    event and construction cost shows in the run time.  ``info``
+    defaults to a shared read-only empty mapping.
+    """
 
     time: float
     pid: int
     name: str
     kind: str
-    info: Dict[str, Any] = field(default_factory=dict)
+    info: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """A maximal span of constant task state."""
 
     start: float

@@ -261,6 +261,22 @@ def test_cluster_tracing_and_pmu_opt_in():
     assert all(len(n.kernel.trace.events) > 0 for n in on.nodes)
 
 
+def test_run_finalizes_enabled_node_pmus():
+    """Counters read after ``Cluster.run`` cover the whole run, as after
+    ``Kernel.run``: the busy time up to a horizon is attributed without
+    an explicit ``finalize``."""
+    c = Cluster(n_nodes=2, heuristic_factory=None, collect_pmu=True)
+    ranks = c.cpus_per_node
+    c.launch(
+        _barrier_workers(ranks, work=1.0, iterations=1),
+        block_placement(ranks, 2, c.cpus_per_node),
+    )
+    assert c.run(until=0.5) == 0.5
+    pmu = c.nodes[0].kernel.pmu
+    for cpu in range(ranks):
+        assert pmu.context_counters(cpu).busy_time == pytest.approx(0.5)
+
+
 def test_tracing_choice_does_not_change_schedule():
     """Tracing/PMU collection is pure observability: the simulated
     execution is identical with and without it."""

@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments.common import SCHEDULERS, build_kernel, run_experiment
 from repro.workloads import MetBench
+from repro.workloads.noise import NoiseDaemons
+from repro.workloads.siesta import Siesta
 
 
 def test_schedulers_tuple():
@@ -40,6 +42,38 @@ def test_keep_trace_false_drops_heavy_handles():
     assert res.kernel is None
     assert res.launched is None
     assert res.tasks  # measurements survive
+
+
+@pytest.mark.parametrize(
+    "make_run",
+    [
+        pytest.param(
+            lambda: (MetBench(iterations=4), "uniform", None), id="metbench-uniform"
+        ),
+        pytest.param(
+            lambda: (Siesta(scf_steps=1), "cfs", NoiseDaemons()), id="siesta-noise-cfs"
+        ),
+    ],
+)
+def test_unkept_run_returns_what_a_kept_run_returns(make_run):
+    """An unkept run skips the PMU and the raw event log, and nothing it
+    returns may move because of that."""
+    results = {}
+    for keep in (False, True):
+        workload, sched, noise = make_run()
+        results[keep] = run_experiment(workload, sched, noise=noise, keep_trace=keep)
+    unkept, kept = results[False], results[True]
+    assert unkept.exec_time == kept.exec_time
+    assert unkept.tasks == kept.tasks
+    assert unkept.priority_history == kept.priority_history
+    assert any(kept.priority_history.values()) == (sched != "cfs")
+    assert unkept.priority_changes == kept.priority_changes
+    assert unkept.mean_wakeup_latency == kept.mean_wakeup_latency
+    assert unkept.max_wakeup_latency == kept.max_wakeup_latency
+    pmu = kept.kernel.pmu
+    counters = [pmu.context_counters(cpu) for cpu in range(kept.kernel.machine.n_cpus)]
+    assert all(c.busy_time > 0 and c.work_done > 0 for c in counters)
+    assert kept.trace.events
 
 
 def test_static_priorities_fixed_in_result():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.common import build_kernel
 from repro.kernel import Compute, Sleep
 from repro.trace.records import State
 from repro.trace.stats import compute_stats
@@ -62,6 +63,42 @@ def test_keep_events_false_skips_event_log(quiet_kernel):
     assert collector.events == []
     collector.finish(end)
     assert collector.timelines  # timelines still built
+
+
+def test_events_of_kind_refuses_a_dropped_event_log():
+    """Without the raw stream there is no honest answer: an empty list
+    would read as "no iterations" to iteration_series and friends."""
+    from repro.trace.collector import TraceCollector
+
+    collector = TraceCollector(keep_events=False)
+    with pytest.raises(ValueError, match="keep_events"):
+        collector.events_of_kind("iteration")
+
+
+def _priority_run(keep_events):
+    from repro.trace.collector import TraceCollector
+
+    kernel = build_kernel()
+    kernel.trace = TraceCollector(keep_events=keep_events)
+    a = kernel.spawn("a", compute_sleep_program(3, 0.05, 0.01), cpu=0)
+    b = kernel.spawn("b", compute_sleep_program(3, 0.05, 0.01), cpu=1)
+    kernel.sim.run(until=0.01)
+    kernel.set_hw_priority(a, 6)
+    kernel.set_hw_priority(b, 3)
+    kernel.sim.run(until=0.08)
+    kernel.set_hw_priority(a, 4)
+    kernel.run()
+    return kernel.trace, a.pid, b.pid
+
+
+def test_priority_changes_kept_without_event_log():
+    kept, pid_a, pid_b = _priority_run(keep_events=True)
+    dropped, _, _ = _priority_run(keep_events=False)
+    assert dropped.events == []
+    assert len(kept.priority_changes(pid_a)) == 2
+    for pid in (None, pid_a, pid_b):
+        assert dropped.priority_changes(pid) == kept.priority_changes(pid)
+    assert kept.priority_changes() == kept.events_of_kind("hw_priority")
 
 
 def test_state_accounting_sums_to_span(kernel, make_compute_task):
