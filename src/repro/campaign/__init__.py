@@ -1,9 +1,10 @@
-"""``repro.campaign`` — parallel, fault-tolerant experiment campaigns.
+"""``repro.campaign`` — parallel, cached experiment campaigns.
 
 The campaign layer turns the repo's ~20 serial experiment runners into
 a schedulable matrix: a :class:`CampaignSpec` describes (experiment x
-params x seed) cells, a :class:`CampaignExecutor` dispatches them over
-a process pool with timeouts/retries, a content-addressed
+params x seed) cells, a :class:`CampaignExecutor` runs them once each
+over one process pool (a failure, a dead worker or the campaign-wide
+timeout marks runs ``FAILED`` and says why), a content-addressed
 :class:`ResultCache` skips everything whose spec and source digest are
 unchanged, and a :class:`CampaignStore` leaves a machine-readable
 artifact trail (``manifest.json`` + ``runs.jsonl`` + payloads).
@@ -44,7 +45,6 @@ from repro.campaign.spec import (
 from repro.campaign.store import (
     STATUS_FAILED,
     STATUS_OK,
-    STATUS_RETRYING,
     CampaignStore,
     RunRecord,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "RunSpec",
     "STATUS_FAILED",
     "STATUS_OK",
-    "STATUS_RETRYING",
     "builtin_campaign",
     "canonical_json",
     "execute_runspec",

@@ -4,7 +4,7 @@ Two consumers:
 
 * :class:`ProgressPrinter` — plugged into the executor's ``on_event``
   hook for live ``[done/total]`` lines with per-run wall time and
-  cache/retry annotations;
+  cache annotations;
 * :func:`render_status` / :func:`render_report` — offline views over a
   :class:`~repro.campaign.store.CampaignStore`: status is the run
   table plus totals (counts, wall time, cache-hit ratio), report adds
@@ -43,16 +43,7 @@ class ProgressPrinter:
         elif kind == "ok":
             self.done += 1
             wall = info.get("wall", 0.0)
-            note = f" [attempt {info['attempt']}]" if info.get("attempt", 1) > 1 else ""
-            self._line(
-                f"[{self.done}/{self.total}] {run_id:<36} OK {wall:6.2f}s{note}"
-            )
-        elif kind == "retry":
-            self._line(
-                f"[{self.done}/{self.total}] {run_id:<36} "
-                f"retrying (attempt {info.get('attempt')} failed"
-                f"{', timeout' if info.get('timed_out') else ''})"
-            )
+            self._line(f"[{self.done}/{self.total}] {run_id:<36} OK {wall:6.2f}s")
         elif kind == "failed":
             self.done += 1
             first = (info.get("error") or "").strip().splitlines()

@@ -63,16 +63,13 @@ class RunSpec:
     ``runner`` gives an explicit ``package.module:function`` dotted
     path (used by tests to inject crashing/hanging stubs).  ``params``
     are keyword overrides forwarded to the runner; ``seed`` (if not
-    ``None``) is forwarded as the ``seed`` keyword.  ``timeout`` is a
-    per-run override of the campaign-wide timeout and is *not* part of
-    the run's identity — it cannot change the result.
+    ``None``) is forwarded as the ``seed`` keyword.
     """
 
     experiment: str
     params: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
     runner: Optional[str] = None
-    timeout: Optional[float] = None
 
     def identity(self) -> Dict[str, Any]:
         """The result-determining fields (what the cache key hashes)."""
@@ -100,18 +97,16 @@ class RunSpec:
             "params": self.params,
             "seed": self.seed,
             "runner": self.runner,
-            "timeout": self.timeout,
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "RunSpec":
-        """Inverse of :meth:`to_payload`."""
+        """Inverse of :meth:`to_payload`; unknown keys are ignored."""
         return cls(
             experiment=payload["experiment"],
             params=dict(payload.get("params") or {}),
             seed=payload.get("seed"),
             runner=payload.get("runner"),
-            timeout=payload.get("timeout"),
         )
 
 

@@ -4,12 +4,12 @@ One directory per campaign::
 
     <root>/
       manifest.json        campaign spec + environment + final totals
-      runs.jsonl           one JSON record per run *attempt outcome*
+      runs.jsonl           one JSON record per run outcome
       results/<run_id>.json   canonical result payload of each OK run
 
-``runs.jsonl`` is append-only — a retried run contributes one record
-per attempt, and the *last* record for a run id is authoritative
-(:meth:`CampaignStore.final_records` collapses the log).  Everything is
+``runs.jsonl`` is append-only — each campaign pass into the directory
+adds one record per run, and the *last* record for a run id is
+authoritative (:meth:`CampaignStore.final_records` collapses the log).  Everything is
 machine-readable so ``campaign status`` / ``campaign report`` can be
 answered from disk long after the process exited.
 """
@@ -25,12 +25,15 @@ from typing import Any, Dict, List, Optional
 #: Terminal statuses a run record can carry.
 STATUS_OK = "OK"
 STATUS_FAILED = "FAILED"
-STATUS_RETRYING = "RETRYING"
 
 
 @dataclass
 class RunRecord:
-    """Outcome of one run attempt (one ``runs.jsonl`` line)."""
+    """Outcome of one run in one campaign pass (one ``runs.jsonl`` line).
+
+    ``attempt`` is 1 for an executed run and 0 for a cache hit; logs
+    written by older versions, which retried runs, may hold more.
+    """
 
     run_id: str
     experiment: str
@@ -91,14 +94,14 @@ class CampaignStore:
     # -- run records ---------------------------------------------------
 
     def append(self, record: RunRecord) -> None:
-        """Append one attempt record to ``runs.jsonl``."""
+        """Append one record to ``runs.jsonl``."""
         if not record.finished_at:
             record.finished_at = time.time()
         with self.runs_path.open("a") as fh:
             fh.write(record.to_json() + "\n")
 
     def records(self) -> List[RunRecord]:
-        """Every attempt record, in append order."""
+        """Every record, in append order."""
         try:
             lines = self.runs_path.read_text().splitlines()
         except OSError:

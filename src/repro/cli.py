@@ -291,15 +291,8 @@ def _add_campaign_parser(sub) -> None:
     )
     crun.add_argument("--jobs", type=int, default=1, help="worker processes")
     crun.add_argument(
-        "--timeout", type=float, default=None, help="per-run timeout (s)"
-    )
-    crun.add_argument(
-        "--retries", type=int, default=1,
-        help="retry budget per run (default 1)",
-    )
-    crun.add_argument(
-        "--backoff", type=float, default=0.5,
-        help="base retry backoff (s), doubled per attempt",
+        "--timeout", type=float, default=None,
+        help="campaign-wide bound (s); runs unfinished by then fail",
     )
     crun.add_argument(
         "--no-cache", action="store_true",
@@ -604,8 +597,6 @@ def _campaign(args) -> int:
         executor = CampaignExecutor(
             jobs=args.jobs,
             timeout=args.timeout,
-            retries=args.retries,
-            backoff=args.backoff,
             cache=cache,
             store=store,
             on_event=ProgressPrinter(len(campaign.runs)),

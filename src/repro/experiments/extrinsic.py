@@ -43,8 +43,14 @@ def balanced_metbench(iterations: int = 20) -> MetBench:
 def run_one(
     scheduler: str, iterations: int = 20, keep_trace: bool = True
 ) -> ExperimentResult:
-    """Balanced MetBench + one noisy CPU under one scheduler."""
+    """Balanced MetBench + one noisy CPU under one scheduler.
+
+    ``keep_trace=False`` returns no kernel or trace, and, as in
+    :func:`~repro.experiments.common.run_experiment`, the run skips the
+    PMU attribution and raw event log that only those could expose.
+    """
     from repro.experiments.common import build_kernel
+    from repro.trace.collector import TraceCollector
     from repro.workloads.base import launch_workload
     from repro.workloads.noise import spawn_noise
 
@@ -54,6 +60,9 @@ def run_one(
     from repro.hpcsched import attach_hpcsched
 
     kernel = build_kernel()
+    if not keep_trace:
+        kernel.pmu_enabled = False
+        kernel.trace = TraceCollector(keep_events=False)
     hpc_class = None
     if scheduler in HEURISTICS:
         hpc_class = attach_hpcsched(kernel, HEURISTICS[scheduler]())

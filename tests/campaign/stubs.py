@@ -2,8 +2,7 @@
 
 Referenced by dotted path (``tests.campaign.stubs:<fn>``) in a
 ``RunSpec.runner`` override, so worker processes import them exactly
-like real experiments.  ``flaky_run`` keeps its attempt count on disk
-because retries cross process boundaries.
+like real experiments.
 """
 
 from __future__ import annotations
@@ -28,14 +27,6 @@ def hang_run(seed: int = 0, forever: float = 3600.0) -> dict:
     return {"seed": seed}
 
 
-def flaky_run(marker_dir: str, fails: int = 1, seed: int = 0) -> dict:
-    """Fails the first ``fails`` attempts, then succeeds.
-
-    Attempts are counted as marker files under ``marker_dir`` so the
-    count survives the worker process boundary.
-    """
-    attempt = len(os.listdir(marker_dir)) + 1
-    open(os.path.join(marker_dir, f"attempt-{attempt}-{os.getpid()}"), "w").close()
-    if attempt <= fails:
-        raise RuntimeError(f"flaky failure on attempt {attempt}")
-    return {"seed": seed, "succeeded_on_attempt": attempt}
+def die_run(seed: int = 0) -> dict:
+    """Kills its worker process outright (a segfault-like death)."""
+    os._exit(3)

@@ -56,7 +56,6 @@ def test_campaign_failed_run_sets_exit_code(tmp_path, capsys):
                 "campaign", "run",
                 "--experiments", "not-an-experiment",
                 "--out", str(tmp_path / "f"),
-                "--retries", "0",
             ]
         )
         == 1
@@ -98,10 +97,7 @@ def test_run_bad_param_syntax():
 
 _BAD_SETTINGS = [
     ("--jobs", "0", "jobs must be at least 1, got 0"),
-    ("--retries", "-1", "retries must be non-negative, got -1"),
     ("--verify", "-1", "verify must be non-negative, got -1"),
-    ("--backoff", "-1", "backoff must be non-negative, got -1.0"),
-    ("--backoff", "nan", "backoff must be non-negative, got nan"),
     ("--timeout", "0", "timeout must be positive, got 0.0"),
     ("--timeout", "-1", "timeout must be positive, got -1.0"),
     ("--timeout", "nan", "timeout must be positive, got nan"),
@@ -126,3 +122,4 @@ def test_campaign_run_rejects_bad_executor_settings(
     captured = capsys.readouterr()
     assert message in captured.err
     assert "OK" not in captured.out
+

@@ -1,6 +1,9 @@
-"""CampaignExecutor: fault tolerance (crash, hang, retry) + caching."""
+"""CampaignExecutor: failures (crash, dead worker, timeout) + caching."""
 
 import json
+import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -12,7 +15,6 @@ from repro.campaign import (
     RunSpec,
     STATUS_FAILED,
     STATUS_OK,
-    STATUS_RETRYING,
     canonical_json,
     execute_runspec,
 )
@@ -20,17 +22,15 @@ from repro.campaign import (
 STUBS = "tests.campaign.stubs"
 
 
-def stub(fn, *, seed=0, timeout=None, **params):
+def stub(fn, *, seed=0, **params):
     return RunSpec(
-        experiment=f"stub-{fn}", params=params, seed=seed,
-        runner=f"{STUBS}:{fn}", timeout=timeout,
+        experiment=f"stub-{fn}", params=params, seed=seed, runner=f"{STUBS}:{fn}"
     )
 
 
 def make_executor(tmp_path, **kw):
     kw.setdefault("cache", ResultCache(tmp_path / "cache", source_token="t"))
     kw.setdefault("store", CampaignStore(tmp_path / "camp"))
-    kw.setdefault("backoff", 0.0)
     kw.setdefault("verify", 0)
     return CampaignExecutor(**kw)
 
@@ -54,7 +54,7 @@ def test_ok_runs_and_artifacts(tmp_path):
 
 
 def test_crash_is_recorded_not_fatal(tmp_path):
-    ex = make_executor(tmp_path, jobs=2, retries=0)
+    ex = make_executor(tmp_path, jobs=2)
     camp = CampaignSpec("t", [stub("crash_run"), stub("ok_run")])
     result = ex.run(camp)
     assert len(result.ok) == 1 and len(result.failed) == 1
@@ -62,6 +62,9 @@ def test_crash_is_recorded_not_fatal(tmp_path):
     assert failed.status == STATUS_FAILED
     assert "injected crash" in failed.error
     assert "RuntimeError" in failed.error  # full traceback captured
+    # recorded once: the run is deterministic, so it is not re-run
+    assert failed.attempt == 1
+    assert [r.run_id for r in ex.store.records()].count(failed.run_id) == 1
 
 
 def test_execute_runspec_returns_status_tuples_and_never_raises():
@@ -79,64 +82,36 @@ def test_execute_runspec_returns_status_tuples_and_never_raises():
     assert wall >= 0.0
 
 
-def test_retry_then_succeed(tmp_path):
-    marker = tmp_path / "markers"
-    marker.mkdir()
-    ex = make_executor(tmp_path, jobs=1, retries=2)
-    camp = CampaignSpec(
-        "t", [stub("flaky_run", marker_dir=str(marker), fails=1)]
-    )
-    result = ex.run(camp)
-    rec = result.ok[0]
-    assert rec.status == STATUS_OK
-    assert rec.attempt == 2  # failed once, succeeded on the retry
-    payload = json.loads(result.payloads[rec.run_id])
-    assert payload["succeeded_on_attempt"] == 2
-    # runs.jsonl keeps the RETRYING attempt record too
-    attempts = [r.status for r in ex.store.records()]
-    assert attempts == [STATUS_RETRYING, STATUS_OK]
-
-
-def test_retries_exhausted_marks_failed(tmp_path):
-    ex = make_executor(tmp_path, jobs=1, retries=1)
-    camp = CampaignSpec("t", [stub("crash_run")])
-    result = ex.run(camp)
-    rec = result.failed[0]
-    assert rec.attempt == 2  # initial + 1 retry
-    assert [r.status for r in ex.store.records()] == [
-        STATUS_RETRYING,
-        STATUS_FAILED,
+def test_dead_worker_fails_every_unfinished_run(tmp_path):
+    # One worker runs the cells in order: the two before the death
+    # finish OK, the dying run and the one queued after it fail.
+    ex = make_executor(tmp_path, jobs=1)
+    runs = [
+        stub("ok_run", seed=0),
+        stub("ok_run", seed=1),
+        stub("die_run", seed=2),
+        stub("ok_run", seed=3),
     ]
+    result = ex.run(CampaignSpec("t", runs))
+    assert [result.records[s.run_id].status for s in runs] == [
+        STATUS_OK, STATUS_OK, STATUS_FAILED, STATUS_FAILED,
+    ]
+    for rec in result.failed:
+        assert rec.error.startswith("worker died: ")
+    assert len(ex.store.final_records()) == 4
+    assert ex.store.load_manifest()["totals"]["failed"] == 2
 
 
 def test_timeout_marks_failed_and_campaign_survives(tmp_path):
-    ex = make_executor(tmp_path, jobs=2, retries=0, timeout=0.5)
-    camp = CampaignSpec(
-        "t", [stub("hang_run"), stub("ok_run", timeout=30.0)]
-    )
+    ex = make_executor(tmp_path, jobs=2, timeout=2.0)
+    camp = CampaignSpec("t", [stub("hang_run"), stub("ok_run")])
+    t0 = time.monotonic()
     result = ex.run(camp)
+    assert time.monotonic() - t0 < 10.0
     assert len(result.ok) == 1
     hung = result.failed[0]
-    assert "timeout" in hung.error
+    assert hung.error == "campaign timeout: exceeded 2s"
     assert hung.experiment == "stub-hang_run"
-
-
-def test_all_slots_hung_pool_is_rebuilt(tmp_path):
-    # Two hangs saturate the 2-worker pool; the executor must write
-    # both slots off, rebuild, and still finish the remaining run.
-    ex = make_executor(tmp_path, jobs=2, retries=0, timeout=0.4)
-    camp = CampaignSpec(
-        "t",
-        [
-            stub("hang_run", seed=1),
-            stub("hang_run", seed=2),
-            stub("ok_run", seed=3, timeout=30.0),
-        ],
-    )
-    result = ex.run(camp)
-    assert len(result.failed) == 2
-    assert len(result.ok) == 1
-    assert json.loads(result.payloads[camp.runs[2].run_id])["seed"] == 3
 
 
 def test_second_campaign_run_is_all_cache_hits(tmp_path):
@@ -166,7 +141,7 @@ def test_failed_run_exit_is_not_cached(tmp_path):
     camp = CampaignSpec("t", [stub("crash_run")])
     make_executor(tmp_path, jobs=1).run(camp)
     again = make_executor(tmp_path, jobs=1).run(camp)
-    # a FAILED run must be retried on the next campaign, not cached
+    # a FAILED run is run again by the next campaign, not cached
     assert again.cache_hits == 0
     assert len(again.failed) == 1
 
@@ -184,105 +159,18 @@ def test_event_stream_counts(tmp_path, jobs):
     assert events.count("ok") == 4
 
 
-# ----------------------------------------------------------------------
-# Pool-rebuild idempotency (PoolManager): the rebuild-after-timeout path
-# must be safe when several drains share one executor concurrently.
-# ----------------------------------------------------------------------
-
-def test_pool_rebuild_is_idempotent_per_generation():
-    import os
-
-    from repro.campaign.executor import PoolManager
-
-    pm = PoolManager(jobs=2)
-    try:
-        fut, gen = pm.submit(os.getpid)
-        assert fut.result(timeout=30) > 0
-        # First observer tears the pool down; the second (same token)
-        # must be a no-op instead of killing the replacement.
-        assert pm.rebuild(gen) is True
-        assert pm.rebuild(gen) is False
-        assert pm.rebuilds == 1
-        # Write-offs against the retired generation are discarded.
-        assert pm.write_off(gen) is False
-        fut2, gen2 = pm.submit(os.getpid)
-        assert gen2 == gen + 1
-        assert fut2.result(timeout=30) > 0
-        assert pm.rebuild(gen) is False  # still stale after replacement
-        assert pm.rebuilds == 1
-    finally:
-        pm.shutdown()
-
-
-def test_pool_rebuild_concurrent_observers_single_teardown():
-    import os
-    import threading
-
-    from repro.campaign.executor import PoolManager
-
-    pm = PoolManager(jobs=1)
-    try:
-        fut, gen = pm.submit(os.getpid)
-        fut.result(timeout=30)
-        outcomes = []
-        barrier = threading.Barrier(6)
-
-        def observer():
-            barrier.wait()
-            outcomes.append(pm.rebuild(gen))
-
-        threads = [threading.Thread(target=observer) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert outcomes.count(True) == 1, "exactly one teardown"
-        assert pm.rebuilds == 1
-    finally:
-        pm.shutdown()
-
-
-def test_write_off_threshold_scoped_to_current_pool():
-    import os
-
-    from repro.campaign.executor import PoolManager
-
-    pm = PoolManager(jobs=2)
-    try:
-        _, gen = pm.submit(os.getpid)
-        assert pm.write_off(gen) is False  # 1 of 2 slots
-        assert pm.rebuild(gen) is True
-        _, gen2 = pm.submit(os.getpid)
-        # The fresh pool starts with a clean write-off ledger: one lost
-        # slot must not tip it over the (stale counter + 1) threshold.
-        assert pm.write_off(gen2) is False
-        assert pm.write_off(gen2) is True
-    finally:
-        pm.shutdown()
-
-
 def test_concurrent_campaigns_share_one_executor(tmp_path):
-    # Two campaigns drain through ONE executor at once; campaign A's
-    # hang forces a timeout write-off + pool rebuild mid-flight while
-    # campaign B keeps submitting.  Before PoolManager both drains
-    # could tear down/rebuild the same pool (duplicate executions of
-    # resubmitted runs), and a run cancelled by the *other* drain's
-    # teardown was silently dropped; now the rebuild is generation-
-    # guarded, external cancellations resubmit attempt-free, and both
-    # campaigns must finish with every non-hanging run OK exactly once.
-    import threading
+    # Two campaigns run through ONE executor at once; each run() owns
+    # its pool, so every run of both must start and finish OK exactly
+    # once.  Each thread counts only its own campaign's run ids.
+    events = Counter()
 
-    ex = make_executor(
-        tmp_path, jobs=2, retries=3, timeout=0.5, store=None,
-    )
-    camp_a = CampaignSpec(
-        "a",
-        [stub("hang_run", seed=1)]
-        + [stub("ok_run", seed=s, timeout=30.0) for s in (2, 3)],
-    )
-    camp_b = CampaignSpec(
-        "b", [stub("ok_run", seed=s, timeout=30.0) for s in (10, 11, 12)]
-    )
+    def on_event(kind, run_id=None, **info):
+        events[kind, run_id] += 1
+
+    ex = make_executor(tmp_path, jobs=2, store=None, on_event=on_event)
+    camp_a = CampaignSpec("a", [stub("ok_run", seed=s) for s in (1, 2, 3)])
+    camp_b = CampaignSpec("b", [stub("ok_run", seed=s) for s in (10, 11, 12)])
     results = {}
 
     def drain(name, camp):
@@ -295,14 +183,15 @@ def test_concurrent_campaigns_share_one_executor(tmp_path):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
 
-    a, b = results["a"], results["b"]
-    assert len(a.ok) == 2 and len(a.failed) == 1  # only the hang fails
-    assert "timeout" in a.failed[0].error
-    assert len(b.ok) == 3 and not b.failed
-    # every OK run produced exactly one authoritative payload
-    for res, camp in ((a, camp_a), (b, camp_b)):
+    run_ids = [spec.run_id for camp in (camp_a, camp_b) for spec in camp.runs]
+    assert events == Counter(
+        (kind, run_id) for kind in ("start", "ok") for run_id in run_ids
+    )
+    for name, camp in (("a", camp_a), ("b", camp_b)):
+        res = results[name]
+        assert len(res.ok) == 3 and not res.failed
         for spec in camp.runs:
-            if spec.experiment == "stub-ok_run":
-                assert json.loads(res.payloads[spec.run_id])["seed"] == spec.seed
+            assert json.loads(res.payloads[spec.run_id])["seed"] == spec.seed

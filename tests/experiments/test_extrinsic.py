@@ -42,3 +42,16 @@ def test_single_run_helper():
     res = run_one("cfs", iterations=3, keep_trace=True)
     assert res.workload == "metbench-extrinsic"
     assert res.trace is not None
+
+
+@pytest.mark.parametrize("sched", ["cfs", "adaptive"])
+def test_unkept_run_returns_what_a_kept_run_does(sched):
+    """Without the kernel and trace in the result, the run skips PMU
+    attribution and the raw event log; what it returns is unchanged."""
+    kept = run_one(sched, iterations=4, keep_trace=True)
+    unkept = run_one(sched, iterations=4, keep_trace=False)
+    assert unkept.trace is None and unkept.kernel is None
+    assert unkept.exec_time == kept.exec_time
+    assert unkept.tasks == kept.tasks
+    assert unkept.priority_history == kept.priority_history
+    assert unkept.priority_changes == kept.priority_changes

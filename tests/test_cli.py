@@ -125,6 +125,11 @@ def test_cluster_json_reports_the_serial_run(capsys):
         ["serve"],
         ["serve", "--smoke"],
         ["submit", "table3", "--tenant", "a"],
+        # Campaign runs are deterministic, so they are no longer retried.
+        *(
+            ["campaign", "run", "smoke", f"--{name}", "1"]
+            for name in ("retries", "backoff")
+        ),
     ],
     ids=" ".join,
 )
