@@ -271,10 +271,10 @@ def _add_campaign_parser(sub) -> None:
     crun.add_argument(
         "name",
         nargs="?",
-        default="paper-full",
+        default=None,
         help="built-in campaign (paper-full, paper-quick, smoke, "
-        "synth-sweep, synth-convergence) — ignored when --experiments "
-        "is given",
+        "synth-sweep, synth-convergence; default paper-full); not "
+        "allowed together with --experiments",
     )
     crun.add_argument(
         "--experiments",
@@ -561,6 +561,10 @@ def _campaign(args) -> int:
         print("usage: repro-hpcsched campaign {run,status,report}", file=sys.stderr)
         return 1
 
+    if args.experiments and args.name is not None:
+        msg = f"campaign run: give the campaign {args.name!r} or --experiments, not both"
+        print(msg, file=sys.stderr)
+        return 2
     if args.experiments:
         ids = [x.strip() for x in args.experiments.split(",") if x.strip()]
         seeds = (
@@ -574,7 +578,7 @@ def _campaign(args) -> int:
         )
     else:
         try:
-            campaign = builtin_campaign(args.name)
+            campaign = builtin_campaign(args.name or "paper-full")
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2

@@ -198,7 +198,8 @@ class Cluster:
         counting still frees everything the run drops.
 
         Like :meth:`Kernel.run`, it flushes every enabled node PMU to
-        the end time, so the counters cover the whole run.
+        the end time, so the counters cover the whole run, and runs each
+        node's end-of-run oracle audit under ``REPRO_VALIDATE``.
         """
         was_enabled = gc.isenabled()
         gc.disable()
@@ -213,4 +214,6 @@ class Cluster:
         for node in self.nodes:
             if node.kernel.pmu_enabled:
                 node.kernel.pmu.finalize(end)
+            if node.kernel.oracles is not None:
+                node.kernel.oracles.on_run_end(end)
         return end

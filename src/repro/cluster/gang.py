@@ -33,10 +33,6 @@ class GangPlacement:
     #: (rank, rank) pairs sharing an SMT core, for analysis.
     core_pairs: List[Tuple[int, int]] = field(default_factory=list)
 
-    def node_of(self, rank: int) -> int:
-        """Node index hosting ``rank``."""
-        return self.slots[rank].node
-
     def node_loads(self, loads: Sequence[float]) -> Dict[int, float]:
         """Total estimated load per node under this placement."""
         out: Dict[int, float] = {}

@@ -65,7 +65,7 @@ def ablation_latency(scf_steps: Optional[int] = None) -> Dict[str, float]:
     from repro.experiments.common import build_kernel
     from repro.workloads.noise import spawn_noise
 
-    kernel = build_kernel()
+    kernel = build_kernel(keep_trace=False)
     attach_hpcsched(kernel, AdaptiveHeuristic(), mechanism=NullMechanism())
     spawn_noise(kernel, noise)
     launch_workload(kernel, Siesta(**kwargs), use_hpc=True)

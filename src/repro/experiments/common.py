@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.hpcsched import (
     AdaptiveHeuristic,
@@ -12,11 +12,12 @@ from repro.hpcsched import (
     attach_hpcsched,
 )
 from repro.kernel.core_sched import Kernel
+from repro.kernel.task import Task
 from repro.kernel.tunables import Tunables
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import PerformanceModel, TableDrivenModel
 from repro.trace.collector import TraceCollector
-from repro.trace.stats import compute_stats
+from repro.trace.stats import TaskStats
 from repro.workloads.base import LaunchedWorkload, Workload, launch_workload
 from repro.workloads.noise import NoiseDaemons, spawn_noise
 
@@ -76,10 +77,40 @@ def build_kernel(
     topology: Optional[MachineTopology] = None,
     perf_model: Optional[PerformanceModel] = None,
     tunables: Optional[Tunables] = None,
+    keep_trace: bool = True,
 ) -> Kernel:
-    """A kernel on the paper's machine (1 POWER5: 2 cores x 2 SMT)."""
+    """A kernel on the paper's machine (1 POWER5: 2 cores x 2 SMT).
+
+    ``keep_trace=False`` builds it with no trace collector and the PMU
+    off, for a run that reads only the tasks' own counters.
+    """
     machine = Machine(topology or MachineTopology(), perf_model or TableDrivenModel())
-    return Kernel(machine=machine, tunables=tunables, trace=TraceCollector())
+    trace = TraceCollector() if keep_trace else None
+    kernel = Kernel(machine=machine, tunables=tunables, trace=trace)
+    kernel.pmu_enabled = keep_trace
+    return kernel
+
+
+def task_results(
+    tasks: Mapping[str, Task], names: Iterable[str], end: float, dynamic: bool
+) -> Dict[str, TaskResult]:
+    """One table row per named task, from the task's own state counters
+    closed at ``end``; ``dynamic`` rows carry no fixed priority."""
+    rows = {}
+    for name in names:
+        task = tasks[name]
+        running, ready, waiting = task.state_times(end)
+        st = TaskStats(task.pid, name, running, ready, waiting, running + ready + waiting)
+        rows[name] = TaskResult(
+            name=name,
+            pct_comp=st.pct_comp,
+            pct_running=st.pct_running,
+            priority=None if dynamic else task.hw_priority,
+            running=running,
+            waiting=waiting,
+            ready=ready,
+        )
+    return rows
 
 
 def run_experiment(
@@ -99,9 +130,10 @@ def run_experiment(
     (used with ``scheduler="static"``); ``noise`` optionally adds the
     per-CPU OS-noise daemons; ``topology`` overrides the paper's
     1-chip machine (e.g. for multi-chip scaling studies).
+    The table rows come from the tasks' own state counters either way.
     ``keep_trace=False`` returns no kernel, trace or launched workload,
-    and the run skips the PMU attribution and raw event log that only
-    those could expose.
+    and builds the kernel with no trace collector and the PMU off, since
+    nothing could read them.
     """
     valid = set(SCHEDULERS) | set(HEURISTICS)
     if scheduler not in valid:
@@ -109,16 +141,7 @@ def run_experiment(
             f"unknown scheduler {scheduler!r}; pick from {sorted(valid)}"
         )
 
-    kernel = build_kernel(
-        topology=topology, perf_model=perf_model, tunables=tunables
-    )
-    if not keep_trace:
-        # The result drops the kernel and the trace, so nothing could
-        # read the PMU counters or the raw event log: record neither.
-        # Timelines and the hw-priority log, which the result does
-        # return, are still built.
-        kernel.pmu_enabled = False
-        kernel.trace = TraceCollector(keep_events=False)
+    kernel = build_kernel(topology, perf_model, tunables, keep_trace)
     hpc_class = None
     if scheduler in HEURISTICS:
         hpc_class = attach_hpcsched(kernel, HEURISTICS[scheduler]())
@@ -137,44 +160,27 @@ def run_experiment(
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    trace = kernel.trace
-    assert trace is not None
+    if keep_trace:
+        kernel.trace.finish(exec_time)
     measured = workload.measured_names()
-    stats = compute_stats(trace, exec_time, names=measured)
-
     result = ExperimentResult(
         workload=workload.name,
         scheduler=scheduler,
         exec_time=exec_time,
-        trace=trace if keep_trace else None,
+        tasks=task_results(
+            launched.tasks, measured, exec_time, dynamic=hpc_class is not None
+        ),
+        trace=kernel.trace,
         kernel=kernel if keep_trace else None,
         launched=launched if keep_trace else None,
     )
     lat_means: List[float] = []
     for name in measured:
-        st = stats[name]
         task = launched.tasks[name]
-        fixed_prio: Optional[int]
-        if scheduler in ("cfs", "static"):
-            fixed_prio = task.hw_priority
-        else:
-            fixed_prio = None  # dynamic (the tables print "-")
-        result.tasks[name] = TaskResult(
-            name=name,
-            pct_comp=st.pct_comp,
-            pct_running=st.pct_running,
-            priority=fixed_prio,
-            running=st.running,
-            waiting=st.waiting,
-            ready=st.ready,
-        )
         acc = kernel.latency_stats.for_task(task.pid)
         lat_means.append(acc.mean)
         result.max_wakeup_latency = max(result.max_wakeup_latency, acc.max)
-        result.priority_history[name] = [
-            (ev.time, ev.info.get("priority"))
-            for ev in trace.priority_changes(task.pid)
-        ]
+        result.priority_history[name] = list(task.hw_priority_history)
     result.mean_wakeup_latency = (
         sum(lat_means) / len(lat_means) if lat_means else 0.0
     )

@@ -21,10 +21,17 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    HEURISTICS,
+    ExperimentResult,
+    build_kernel,
+    task_results,
+)
 from repro.experiments.registry import register
+from repro.hpcsched import attach_hpcsched
+from repro.workloads.base import launch_workload
 from repro.workloads.metbench import MetBench
-from repro.workloads.noise import NoiseDaemons
+from repro.workloads.noise import NoiseDaemons, spawn_noise
 
 #: A heavy daemon: ~20% duty on its CPU — a pathological but
 #: illustrative extrinsic disturbance (a runaway system service).
@@ -45,64 +52,40 @@ def run_one(
 ) -> ExperimentResult:
     """Balanced MetBench + one noisy CPU under one scheduler.
 
-    ``keep_trace=False`` returns no kernel or trace, and, as in
-    :func:`~repro.experiments.common.run_experiment`, the run skips the
-    PMU attribution and raw event log that only those could expose.
+    As in :func:`~repro.experiments.common.run_experiment`, the rows
+    come from the tasks' own counters, and ``keep_trace=False`` returns
+    no kernel or trace and builds the kernel with no trace collector
+    and the PMU off.
     """
-    from repro.experiments.common import build_kernel
-    from repro.trace.collector import TraceCollector
-    from repro.workloads.base import launch_workload
-    from repro.workloads.noise import spawn_noise
-
-    # Noise only on one CPU — run_experiment's noise arg covers all
-    # CPUs, so assemble manually.
-    from repro.experiments.common import HEURISTICS
-    from repro.hpcsched import attach_hpcsched
-
-    kernel = build_kernel()
-    if not keep_trace:
-        kernel.pmu_enabled = False
-        kernel.trace = TraceCollector(keep_events=False)
+    kernel = build_kernel(keep_trace=keep_trace)
     hpc_class = None
     if scheduler in HEURISTICS:
         hpc_class = attach_hpcsched(kernel, HEURISTICS[scheduler]())
+    # Noise only on one CPU — run_experiment's noise arg covers all
+    # CPUs, so assemble manually.
     spawn_noise(kernel, HEAVY_NOISE, cpus=[NOISY_CPU])
     launched = launch_workload(
         kernel, balanced_metbench(iterations), use_hpc=hpc_class is not None
     )
     exec_time = kernel.run()
+    if keep_trace:
+        kernel.trace.finish(exec_time)
 
-    from repro.trace.stats import compute_stats
-
-    stats = compute_stats(kernel.trace, exec_time, names=["P1", "P2", "P3", "P4"])
+    names = ["P1", "P2", "P3", "P4"]
     result = ExperimentResult(
         workload="metbench-extrinsic",
         scheduler=scheduler,
         exec_time=exec_time,
-        trace=kernel.trace if keep_trace else None,
+        tasks=task_results(
+            launched.tasks, names, exec_time, dynamic=hpc_class is not None
+        ),
+        trace=kernel.trace,
         kernel=kernel if keep_trace else None,
     )
-    from repro.experiments.common import TaskResult
-
-    for name, st in stats.items():
-        task = launched.tasks[name]
-        result.tasks[name] = TaskResult(
-            name=name,
-            pct_comp=st.pct_comp,
-            pct_running=st.pct_running,
-            priority=None if hpc_class else task.hw_priority,
-            running=st.running,
-            waiting=st.waiting,
-            ready=st.ready,
-        )
     if hpc_class is not None:
         result.priority_changes = hpc_class.detector.priority_changes
         result.priority_history = {
-            name: [
-                (ev.time, ev.info.get("priority"))
-                for ev in kernel.trace.priority_changes(launched.tasks[name].pid)
-            ]
-            for name in stats
+            name: list(launched.tasks[name].hw_priority_history) for name in names
         }
     return result
 

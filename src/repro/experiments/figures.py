@@ -45,8 +45,7 @@ def figure1(**_kwargs) -> Dict[str, str]:
 def figure2(iterations: int = 4, **_kwargs) -> Dict[str, object]:
     """One task's iterative behaviour: tR (compute) / tW (wait) spans."""
     res = metbench.run_one("cfs", iterations=iterations, keep_trace=True)
-    tl = res.trace.by_name("P1")
-    res.trace.finish(res.exec_time)
+    tl = res.trace.by_name("P1")  # run_one returns the trace finished
     spans = [
         (iv.state.name, round(iv.start, 4), round(iv.end, 4))
         for iv in tl.intervals

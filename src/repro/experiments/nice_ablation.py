@@ -23,9 +23,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.common import ExperimentResult, build_kernel, run_experiment
+from repro.experiments.common import (
+    ExperimentResult,
+    build_kernel,
+    run_experiment,
+    task_results,
+)
 from repro.experiments.registry import register
-from repro.trace.stats import compute_stats
 from repro.workloads.base import launch_workload
 from repro.workloads.metbench import MetBench
 
@@ -35,30 +39,19 @@ FAVOURED_NICE = -15
 
 def run_nice(iterations: int = 20) -> ExperimentResult:
     """MetBench under CFS with the big workers reniced."""
-    kernel = build_kernel()
+    kernel = build_kernel(keep_trace=False)
     launched = launch_workload(kernel, MetBench(iterations=iterations))
     for name in ("P2", "P4"):
         launched.tasks[name].nice = FAVOURED_NICE
     exec_time = kernel.run()
-    stats = compute_stats(
-        kernel.trace, exec_time, names=["P1", "P2", "P3", "P4"]
+    return ExperimentResult(
+        workload="metbench",
+        scheduler="nice",
+        exec_time=exec_time,
+        tasks=task_results(
+            launched.tasks, ["P1", "P2", "P3", "P4"], exec_time, dynamic=False
+        ),
     )
-    result = ExperimentResult(
-        workload="metbench", scheduler="nice", exec_time=exec_time
-    )
-    from repro.experiments.common import TaskResult
-
-    for name, st in stats.items():
-        result.tasks[name] = TaskResult(
-            name=name,
-            pct_comp=st.pct_comp,
-            pct_running=st.pct_running,
-            priority=4,
-            running=st.running,
-            waiting=st.waiting,
-            ready=st.ready,
-        )
-    return result
 
 
 @register("ablation_nice")

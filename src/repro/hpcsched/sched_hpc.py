@@ -138,9 +138,6 @@ class HPCSchedClass(SchedClass):
         if task.sleeping_on_wait:
             self.detector.on_wait_wakeup(task)
 
-    def _rr_mode(self) -> bool:
-        return self._rr
-
 
 def attach_hpcsched(
     kernel: "Kernel",

@@ -331,6 +331,7 @@ class Kernel:
         elif not task.allows_cpu(cpu):
             raise ValueError(f"{task!r} not allowed on cpu{cpu}")
         task.state = TaskState.READY
+        task.state_since = self.sim.now
         task.sched_class.task_new(self.rqs[cpu], task)
         if not task.daemon:
             self.live_tasks += 1
@@ -370,6 +371,8 @@ class Kernel:
         task.bank_progress(self.sim.now)
         task.cancel_phase_event()
         task.state = TaskState.EXITED
+        task.sum_run_time += self.sim.now - task.state_since
+        task.state_since = self.sim.now
         task.sched_class.task_exit(rq, task)
         if self.trace is not None:
             self._trace(task, "exit", cpu=cpu)
@@ -401,6 +404,8 @@ class Kernel:
         if task.state != TaskState.SLEEPING:
             return False
         task.state = TaskState.READY
+        task.sum_wait_time += self.sim.now - task.state_since
+        task.state_since = self.sim.now
         cpu = self._select_wake_cpu(task)
         task.wakeup_pending = True
         # The class hook runs before the task is queued so the HPC
@@ -442,6 +447,8 @@ class Kernel:
         task.bank_progress(self.sim.now)
         task.cancel_phase_event()
         task.state = TaskState.SLEEPING
+        task.sum_run_time += self.sim.now - task.state_since
+        task.state_since = self.sim.now
         task.sleep_reason = req.sleep_reason
         task.sleeping_on_wait = req.is_wait
         task.sched_class.on_block(rq, task, req.sleep_reason, req.is_wait)
@@ -498,6 +505,8 @@ class Kernel:
             task.bank_progress(self.sim.now)
             task.cancel_phase_event()
             task.state = TaskState.READY
+            task.sum_run_time += self.sim.now - task.state_since
+            task.state_since = self.sim.now
             task.sched_class.put_prev_task(rq, task)
             if self.trace is not None:
                 self._trace(task, "preempted", cpu=src)
@@ -596,6 +605,7 @@ class Kernel:
         if task.hw_priority == int(priority):
             return
         task.hw_priority = int(priority)
+        task.hw_priority_history += ((self.sim.now, int(priority)),)
         self._trace(task, "hw_priority", priority=int(priority))
         if task.state == TaskState.RUNNING and task.cpu is not None:
             ctx = self._ctxs[task.cpu]
@@ -643,6 +653,8 @@ class Kernel:
             prev.bank_progress(self.sim.now)
             prev.cancel_phase_event()
             prev.state = TaskState.READY
+            prev.sum_run_time += self.sim.now - prev.state_since
+            prev.state_since = self.sim.now
             prev.sched_class.put_prev_task(rq, prev)
             if self.trace is not None:
                 self._trace(prev, "preempted", cpu=cpu)
@@ -707,6 +719,8 @@ class Kernel:
         task.state = TaskState.RUNNING
         task.cpu = cpu
         task.exec_start = now
+        task.sum_ready_time += now - task.state_since
+        task.state_since = now
         if task.wakeup_pending and task.last_enqueue_time is not None:
             self.latency_stats.record(task, now - task.last_enqueue_time)
             task.wakeup_pending = False

@@ -9,7 +9,7 @@ the task to sleep until the owning subsystem wakes it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional, Set
+from typing import Any, Callable, Generator, Iterable, Optional, Set, Tuple
 
 from repro.kernel.policies import (
     NICE_MAX,
@@ -19,6 +19,9 @@ from repro.kernel.policies import (
 )
 from repro.power5.perfmodel import CPU_BOUND, PerfProfile
 from repro.power5.priorities import DEFAULT_PRIORITY
+
+#: State -> index of its sum in :meth:`Task.state_times`.
+_TIMED_STATES = {TaskState.RUNNING: 0, TaskState.READY: 1, TaskState.SLEEPING: 2}
 
 
 class Task:
@@ -35,6 +38,8 @@ class Task:
         "phase_rate", "phase_started_at", "phase_event", "phase_epoch",
         "phase_eta", "_syscall_result", "class_data", "on_exit",
         "sched_class", "is_idle_task", "_rt_requeue_head",
+        "sum_run_time", "sum_ready_time", "sum_wait_time", "state_since",
+        "hw_priority_history",
     )
 
     def __init__(
@@ -85,6 +90,19 @@ class Task:
         self.vruntime = 0.0
         #: Remaining round-robin slice (RT RR and HPC RR policies).
         self.rr_slice_left = 0.0
+        #: Time spent running, runnable off-CPU, and blocked (paper
+        #: §IV-B's tR, tW), banked as ``now - state_since`` when the task
+        #: leaves each state: a trace timeline's ``time_in`` deltas in its
+        #: order (a zero-length state adds 0.0, as a timeline adds none),
+        #: so bit-equal sums, which ``sum_exec_runtime`` is not.
+        self.sum_run_time = 0.0
+        self.sum_ready_time = 0.0
+        self.sum_wait_time = 0.0
+        #: Instant the task entered its current state.
+        self.state_since = 0.0
+        #: Every hardware-priority change, as ``(time, priority)``; a
+        #: tuple, so tasks that never change share the empty one.
+        self.hw_priority_history: Tuple[Tuple[float, int], ...] = ()
 
         # -- wakeup / latency -----------------------------------------
         self.last_enqueue_time: Optional[float] = None
@@ -138,6 +156,15 @@ class Task:
     def allows_cpu(self, cpu: int) -> bool:
         """Whether the affinity mask permits running on ``cpu``."""
         return self.cpus_allowed is None or cpu in self.cpus_allowed
+
+    def state_times(self, end: float) -> Tuple[float, float, float]:
+        """Running, ready and waiting time up to ``end``, the current
+        state closed there as a trace timeline's ``finish`` does."""
+        times = [self.sum_run_time, self.sum_ready_time, self.sum_wait_time]
+        i = _TIMED_STATES.get(self.state)
+        if i is not None:
+            times[i] += end - self.state_since
+        return times[0], times[1], times[2]
 
     # ------------------------------------------------------------------
     # Phase bookkeeping helpers (used by the kernel core)

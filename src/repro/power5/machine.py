@@ -29,10 +29,6 @@ class MachineTopology:
     def n_cpus(self) -> int:
         return self.chips * self.cores_per_chip * self.threads_per_core
 
-    @property
-    def n_cores(self) -> int:
-        return self.chips * self.cores_per_chip
-
 
 class Machine:
     """The hardware the simulated kernel runs on."""

@@ -129,10 +129,6 @@ class MachinePMU:
             core.core_id: CorePMU(core) for core in machine.cores()
         }
 
-    def pmu_for_core(self, core) -> CorePMU:
-        """The per-core PMU instance."""
-        return self.cores[core.core_id]
-
     def advance_core(self, core, now: float) -> None:
         """Advance one core's counters to ``now`` (kernel hook)."""
         self.cores[core.core_id].advance(now)

@@ -1,16 +1,15 @@
 """Kernel-side trace collector.
 
 Installed on the kernel as ``Kernel(trace=TraceCollector())``; receives
-every scheduler event and folds the state-changing ones into per-task
+every scheduler event, keeps the raw event stream for detailed analysis
+(iteration marks, migrations, priority changes, PARAVER export) and
+folds the state-changing events into per-task
 :class:`~repro.trace.records.TaskTimeline` objects.
 
-With ``keep_events=True`` (the default) it also keeps the raw event
-stream for detailed analysis (iteration marks, migrations, PARAVER
-export).  Whatever ``keep_events`` says, it keeps the hardware-priority
-changes in a small log of their own, so :meth:`priority_changes`
-answers the same on both kinds of collector.  :meth:`events_of_kind`
-needs the raw stream and raises on a collector that dropped it, rather
-than report "no such events".
+Only a run whose trace is kept (figures, PARAVER, convergence) builds
+one.  The paper-table numbers come from the tasks' own state counters
+(``Task.state_times``, ``Task.hw_priority_history``), so an unkept run
+is built with ``trace=None`` and records nothing.
 """
 
 from __future__ import annotations
@@ -32,11 +31,8 @@ _KIND_TO_STATE = {
 class TraceCollector:
     """Accumulates scheduler events into timelines and an event log."""
 
-    def __init__(self, keep_events: bool = True) -> None:
-        self.keep_events = keep_events
+    def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        #: The ``hw_priority`` events, kept even without the raw stream.
-        self._priority_log: List[TraceEvent] = []
         self.timelines: Dict[int, TaskTimeline] = {}
         self._finished_at: Optional[float] = None
 
@@ -45,12 +41,7 @@ class TraceCollector:
         """Kernel hook: fold one scheduler event into the trace."""
         if task.is_idle_task:
             return
-        if self.keep_events or kind == "hw_priority":
-            ev = TraceEvent(time, task.pid, task.name, kind, info)
-            if self.keep_events:
-                self.events.append(ev)
-            if kind == "hw_priority":
-                self._priority_log.append(ev)
+        self.events.append(TraceEvent(time, task.pid, task.name, kind, info))
         state = _KIND_TO_STATE.get(kind)
         if state is None:
             return
@@ -81,18 +72,10 @@ class TraceCollector:
         raise KeyError(name)
 
     def events_of_kind(self, kind: str) -> List[TraceEvent]:
-        """All raw events of one kind, in time order.
-
-        Raises :class:`ValueError` on a ``keep_events=False`` collector,
-        which has no raw stream to answer from.
-        """
-        if not self.keep_events:
-            raise ValueError(
-                f"events_of_kind({kind!r}) needs the raw event log, which "
-                "this collector drops (keep_events=False)"
-            )
+        """All raw events of one kind, in time order."""
         return [ev for ev in self.events if ev.kind == kind]
 
     def priority_changes(self, pid: Optional[int] = None) -> List[TraceEvent]:
         """All hardware-priority change events (optionally one task's)."""
-        return [ev for ev in self._priority_log if pid is None or ev.pid == pid]
+        changes = self.events_of_kind("hw_priority")
+        return [ev for ev in changes if pid is None or ev.pid == pid]

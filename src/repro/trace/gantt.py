@@ -21,13 +21,6 @@ _GLYPH = {
 }
 
 
-def _sample(timeline: TaskTimeline, t: float) -> State:
-    for iv in timeline.intervals:
-        if iv.start <= t < iv.end:
-            return iv.state
-    return State.NONE
-
-
 def render_timeline(timeline: TaskTimeline, t0: float, t1: float, width: int) -> str:
     """Render one task row by midpoint-sampling each column."""
     if t1 <= t0:

@@ -32,17 +32,7 @@ _TIME_SCALE = 1e9  # seconds -> integer nanoseconds
 
 
 def export_prv(trace: TraceCollector, end_time: float, app_name: str = "repro") -> str:
-    """Serialize the trace to a .prv-style string.
-
-    Raises :class:`ValueError` on a ``keep_events=False`` collector:
-    the hw-priority and iteration records come from the raw event log
-    that such a collector drops.
-    """
-    if not trace.keep_events:
-        raise ValueError(
-            "export_prv needs the raw event log, which this collector "
-            "drops (keep_events=False)"
-        )
+    """Serialize the trace to a .prv-style string."""
     trace.finish(end_time)
     pids = sorted(trace.timelines)
     task_index = {pid: i + 1 for i, pid in enumerate(pids)}

@@ -11,6 +11,8 @@ along with every :class:`~repro.kernel.core_sched.Kernel` and checks,
 * **kernel core** — CPU-time conservation: the occupancy charged to
   tasks on a logical CPU never exceeds the wall-clock time that CPU has
   existed (and per-task ``sum_exec_runtime`` never exceeds ``now``);
+  at run end, each task's banked state times agree with its charged
+  occupancy and fit in the run;
   and every delivered phase completion lands on the eager-reschedule
   ETA — ``phase_started_at + phase_remaining / phase_rate`` — within
   tolerance, which pins the lazy ETA-revalidation fast path (ride +
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import os
 from typing import TYPE_CHECKING, Dict, Optional
+
+from repro.kernel.policies import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hpcsched.detector import LoadImbalanceDetector
@@ -136,12 +140,26 @@ class KernelOracles:
             )
 
     def on_run_end(self, end: float) -> None:
-        """Final conservation audit when the kernel run loop returns."""
+        """Final conservation audit when the kernel run loop returns.
+        A transition that forgets to bank a task's state time or to
+        restamp ``state_since`` breaks one of the per-task checks."""
         for cpu, busy in self.cpu_busy.items():
             if busy > end + _EPS:
                 self._fail(
                     f"cpu{cpu} accumulated {busy:.9f}s of occupancy in a "
                     f"{end:.9f}s run"
+                )
+        for task in self.kernel.tasks.values():
+            running, ready, waiting = task.state_times(end)
+            charged = task.sum_exec_runtime
+            if task.state == TaskState.RUNNING:
+                charged += end - task.exec_start
+            if abs(running - charged) > _EPS:
+                self._fail(f"{task!r} banked {running:.9f}s running, charged {charged:.9f}s")
+            if running + ready + waiting > end + _EPS:
+                self._fail(
+                    f"{task!r} banked {running:.9f}s running + {ready:.9f}s ready"
+                    f" + {waiting:.9f}s waiting in a {end:.9f}s run"
                 )
 
     # -- CFS -----------------------------------------------------------

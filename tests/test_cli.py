@@ -140,6 +140,25 @@ def test_removed_options_are_rejected(capsys, argv):
     assert capsys.readouterr().err
 
 
+def test_campaign_run_rejects_a_name_beside_experiments(capsys, tmp_path):
+    """An ad-hoc ``--experiments`` list and a named campaign are two
+    different campaigns: refuse the pair instead of dropping the name."""
+    argv = ["campaign", "run", "table6", "--experiments", "fig1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'table6'" in err and "--experiments" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_campaign_run_removed_option_after_experiments_is_rejected(capsys, tmp_path):
+    argv = ["campaign", "run", "--experiments", "fig1", "--backoff", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--backoff" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_synth_scatter_prints_comparison(capsys):
     assert main([
         "synth", "scatter", "--ranks", "4", "--iterations", "3",

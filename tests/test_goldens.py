@@ -81,3 +81,26 @@ def test_goldens_file_matches_the_case_matrix():
 
     goldens = _load_goldens()
     assert set(goldens) == set(CASES) | set(CONVERGENCE_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_task_counters_equal_the_kept_timelines(key):
+    """The table rows come from each task's own state counters.  On a
+    kept run they must equal the trace timeline's sums bit for bit (the
+    same deltas added in the same order), and the task's priority
+    history must equal the trace's ``hw_priority`` events."""
+    from repro.trace.records import State
+
+    runner, scheduler, kwargs = CASES[key]
+    result = runner(scheduler, keep_trace=True, **kwargs)
+    trace = result.trace
+    assert result.tasks
+    for name, row in result.tasks.items():
+        pid = result.launched.tasks[name].pid
+        timeline = trace.timeline(pid)
+        assert row.running == timeline.time_in(State.RUNNING), name
+        assert row.ready == timeline.time_in(State.READY), name
+        assert row.waiting == timeline.time_in(State.WAITING), name
+        assert result.priority_history[name] == [
+            (ev.time, ev.info["priority"]) for ev in trace.priority_changes(pid)
+        ], name

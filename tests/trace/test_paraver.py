@@ -68,10 +68,3 @@ def test_empty_trace_exports_header_only():
     out = export_prv(TraceCollector(), end_time=1.0)
     assert out.splitlines()[0].startswith("#Paraver")
     assert len(out.strip().splitlines()) == 1
-
-
-def test_export_refuses_a_collector_without_the_event_log():
-    tr = TraceCollector(keep_events=False)
-    tr.record(0.0, T(1, "P1"), "run", cpu=0)
-    with pytest.raises(ValueError, match="keep_events"):
-        export_prv(tr, end_time=1.0)

@@ -128,6 +128,88 @@ def test_on_run_end_audits_accumulated_busy(oracles):
         oracles.on_run_end(end=1.0)
 
 
+def test_on_run_end_audits_banked_running_time(oracles):
+    task = oracles.kernel.spawn("t", iter(()), cpu=0)
+    task.sum_run_time = 0.5
+    with pytest.raises(InvariantViolation, match="banked 0.5"):
+        oracles.on_run_end(end=1.0)
+
+
+def test_on_run_end_audits_state_times_against_the_run(oracles):
+    task = oracles.kernel.spawn("t", iter(()), cpu=0)
+    task.state_since = 1.0
+    task.sum_ready_time = 0.7
+    task.sum_wait_time = 0.7
+    with pytest.raises(InvariantViolation, match="waiting in a 1.0"):
+        oracles.on_run_end(end=1.0)
+
+
+#: One banking site per kind of transition it closes.
+BANKING_SITES = {
+    "block": ("_block_current", "sum_run_time"),
+    "exit": ("_exit_task", "sum_run_time"),
+    "run": ("_install", "sum_ready_time"),
+}
+
+
+def without_banking(method: str, counter: str):
+    """``Kernel.<method>`` recompiled from its source with the one
+    banking site into ``counter`` (the add and the restamp of
+    ``state_since``) cut out."""
+    import inspect
+    import re
+    import textwrap
+
+    from repro.kernel import core_sched
+
+    src = textwrap.dedent(inspect.getsource(getattr(Kernel, method)))
+    now = r"(?:self\.sim\.)?now"
+    site = re.compile(
+        rf"\n *task\.{counter} \+= {now} - task\.state_since\n"
+        rf" *task\.state_since = {now}"
+    )
+    src, cut = site.subn("", src)
+    assert cut == 1, f"no single {counter} banking site in Kernel.{method}"
+    # Outside the class body the name-mangled call must be spelled out.
+    src = src.replace("self.__schedule(", "self._schedule(")
+    namespace = {}
+    exec(compile(src, core_sched.__file__, "exec"), vars(core_sched), namespace)
+    return namespace[method]
+
+
+def _shared_cpu_run():
+    """Two tasks time-sharing cpu0, each computing, sleeping, and
+    computing again up to its exit: every state has positive length."""
+
+    def prog():
+        yield Compute(0.01)
+        yield Sleep(0.002)
+        yield Compute(0.01)
+
+    kernel = make_kernel()
+    kernel.spawn("a", prog(), cpu=0, cpus_allowed=[0])
+    kernel.spawn("b", prog(), cpu=0, cpus_allowed=[0])
+    kernel.run()
+    return kernel
+
+
+@pytest.mark.parametrize("site", sorted(BANKING_SITES))
+def test_audit_catches_a_removed_banking_site(monkeypatch, site):
+    """With one transition no longer banking its state time, the
+    end-of-run audit fails the run loudly."""
+    monkeypatch.setenv("REPRO_VALIDATE", "1")
+    try:
+        kernel = _shared_cpu_run()  # clean as shipped
+        a, b = kernel.tasks.values()
+        assert all(a.state_times(kernel.now)) and b.sum_ready_time > 0
+        method, counter = BANKING_SITES[site]
+        monkeypatch.setattr(Kernel, method, without_banking(method, counter))
+        with pytest.raises(InvariantViolation, match="banked"):
+            _shared_cpu_run()
+    finally:
+        decode.disable_validation()
+
+
 def test_on_event_rejects_cancelled_delivery(oracles):
     ev = oracles.kernel.sim.queue.push(1.0, lambda: None)
     ev.cancel()
