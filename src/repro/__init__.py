@@ -11,8 +11,8 @@ and everything it stands on are rebuilt in pure Python:
 * :mod:`repro.power5`    — POWER5 chip model: priorities, decode
   arbitration, performance models, topology,
 * :mod:`repro.kernel`    — Linux 2.6.24-style scheduler framework
-  (scheduler core, RT class, CFS with a real red-black tree, idle
-  class, domains, load balancing, tunables),
+  (scheduler core, RT class, CFS with a vruntime-ordered timeline,
+  idle class, domains, load balancing, tunables),
 * :mod:`repro.hpcsched`  — the paper's HPCSched: SCHED_HPC class, Load
   Imbalance Detector, Uniform/Adaptive heuristics, POWER5 mechanism,
 * :mod:`repro.mpi`       — simulated MPI runtime (p2p, waitall,

@@ -5,7 +5,7 @@ beat normal tasks to the CPU (that ordering alone is the source of the
 scheduler-latency gains of §V-D) while FIFO/RR semantics are preserved.
 
 Queueing is deliberately simple: with the expected one-HPC-task-per-CPU
-workload a round-robin list matches a red-black tree, and the paper
+workload a round-robin list matches an ordered timeline, and the paper
 found FIFO and RR indistinguishable; both are implemented and selected
 with the ``hpcsched/policy_mode`` tunable.
 

@@ -7,7 +7,7 @@ scheduler the paper's HPCSched is defined against (paper §III):
   ordered list of *Scheduling Classes* and always finds a runnable task,
 * the **real-time class** (:mod:`repro.kernel.rt`): 100 FIFO/RR priority
   queues, the old O(1)-style algorithm,
-* the **CFS class** (:mod:`repro.kernel.fair`): a genuine red-black tree
+* the **CFS class** (:mod:`repro.kernel.fair`): a timeline (sorted list)
   keyed by virtual runtime, nice-weight table, sched_latency /
   min_granularity / wakeup_granularity semantics,
 * the **idle class** (:mod:`repro.kernel.idlecls`),

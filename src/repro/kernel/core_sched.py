@@ -124,13 +124,12 @@ class Kernel:
         self.trace = trace
         self.latency_stats = LatencyStats()
         #: Fast-forward engine flag (see repro.simcore.fastforward):
-        #: provably-inert balance-timer and full-tick fires are elided
-        #: analytically instead of executed.  ``False`` keeps the stock
-        #: always-armed chains (the non-eliding reference).
+        #: provably-inert balance-timer fires are elided analytically
+        #: instead of executed.  ``False`` keeps the stock always-armed
+        #: chains (the non-eliding reference).
         self.fastforward = fastforward
-        #: Parked-timer families (None until the matching chains start).
+        #: Parked balance timers (None until the balance chains start).
         self._ff_balance: Optional[ChainFamily] = None
-        self._ff_tick: Optional[ChainFamily] = None
 
         self.rqs: Dict[int, RunQueue] = {
             cpu: RunQueue(cpu) for cpu in self.machine.cpu_ids
@@ -223,7 +222,7 @@ class Kernel:
         """Re-read the hot tunables consumed on every context switch,
         tick and balance round (invoked via ``Tunables.subscribe``).
 
-        Fast-forward chain families re-time here: subscribers run
+        The balance chain family re-times here: subscribers run
         synchronously inside ``Tunables.set``, so a parked chain's
         anchor is walked forward with the *old* interval exactly up to
         the change instant before the new interval is adopted — the
@@ -231,20 +230,10 @@ class Kernel:
         get = self.tunables.get
         self._cs_cost = get("kernel/context_switch_cost")
         self._tick_period = get("kernel/tick_period")
-        self._full_ticks = get("kernel/full_ticks")
         self._lb_interval = get("kernel/loadbalance_interval")
         fam = self._ff_balance
         if fam is not None and fam.interval != self._lb_interval:
             fam.retime(self._lb_interval)
-        fam = self._ff_tick
-        if fam is not None:
-            if not self._full_ticks:
-                # Leaving the always-tick regime: dissolve the chains
-                # and let stock NOHZ arming take over on demand.
-                fam.dissolve()
-                self._ff_tick = None
-            elif fam.interval != self._tick_period:
-                fam.retime(self._tick_period)
 
     def _boot(self) -> None:
         """Create and install the per-CPU idle tasks."""
@@ -1002,22 +991,11 @@ class Kernel:
     def _update_tick(self, cpu: int) -> None:
         rq = self.rqs[cpu]
         cur = rq.current
-        if self._full_ticks and self.fastforward:
-            # Always-tick regime under fast-forward: the tick is an
-            # immortal chain whose fire is a provable no-op while the
-            # CPU runs its idle task (the body touches only ``current``,
-            # and linear occupancy accrual is banked by update_curr at
-            # every decision point anyway).  Parked while idle; this
-            # call site is the invalidation edge — every install lands
-            # here (see _install), so a CPU going non-idle reinstates
-            # its chain inside the installing event.
-            self._ff_tick_update(cpu, rq, cur)
-            return
         # Every class's needs_tick requires its own queue to be
         # non-empty (RT: a queued best priority; HPC/fair: queued
         # tasks), so an empty runqueue can never need a tick — skip
         # the class dispatch on the common nothing-waiting path.
-        needed = self._full_ticks or (
+        needed = (
             rq.nr_queued > 0
             and cur is not None
             and not cur.is_idle_task
@@ -1030,68 +1008,6 @@ class Kernel:
                 priority=EVPRIO_TICK,
                 label=self._lbl_tick[cpu],
             )
-
-    def _ff_tick_update(self, cpu: int, rq: RunQueue, cur: Optional[Task]) -> None:
-        """Create / reinstate the fast-forward tick chain for ``cpu``
-        (full_ticks mode only; see :meth:`_update_tick`)."""
-        fam = self._ff_tick
-        if fam is None:
-            fam = ChainFamily(self.sim, self._tick_period, EVPRIO_TICK)
-            self._ff_tick = fam
-        chain = fam.chains.get(cpu)
-        idle = cur is None or cur.is_idle_task
-        if chain is None:
-            if rq.tick_event is not None and not rq.tick_event.cancelled:
-                # A stock NOHZ tick armed before full_ticks was switched
-                # on mid-run: the chain replaces it.
-                rq.tick_event.cancel()
-                rq.tick_event = None
-            chain = fam.add(
-                cpu,
-                self._lbl_tick[cpu],
-                self.sim.now + fam.interval,
-                self._tick_inert(rq),
-            )
-            chain.fire = self._tick_chain_fire(cpu, chain)
-            if idle:
-                fam.park(chain)
-            else:
-                fam.arm(chain)
-        elif chain.event is None and not idle:
-            fam.unpark_one(chain)
-
-    @staticmethod
-    def _tick_inert(rq: RunQueue):
-        def inert() -> bool:
-            cur = rq.current
-            return cur is None or cur.is_idle_task
-
-        return inert
-
-    def _tick_chain_fire(self, cpu: int, chain) -> Any:
-        """The fast-forward twin of :meth:`_tick`: identical body,
-        park-or-arm re-arm (bit-exact ``now + period`` chain points)."""
-        sim = self.sim
-        fam = chain.family
-        rq = self.rqs[cpu]
-
-        def fire() -> None:
-            chain.event = None
-            cur = rq.current
-            if cur is not None and not cur.is_idle_task:
-                self.update_curr(rq)
-                cur.sched_class.task_tick(rq, cur)
-            t = sim.now + fam.interval
-            chain.next_time = t
-            cur = rq.current
-            if cur is None or cur.is_idle_task:
-                fam.park(chain)
-            else:
-                chain.event = sim.at(
-                    t, fire, priority=EVPRIO_TICK, label=chain.label
-                )
-
-        return fire
 
     def _tick(self, cpu: int) -> None:
         rq = self.rqs[cpu]
@@ -1117,15 +1033,13 @@ class Kernel:
             # while the inertness witness holds (nothing queued anywhere
             # or no migratable task — _steal can then never move work,
             # so the fire is provably a no-op re-arm).
-            fam = ChainFamily(self.sim, interval, EVPRIO_BALANCE)
+            inert = self._balance_inert
+            fam = ChainFamily(self.sim, interval, EVPRIO_BALANCE, inert)
             self._ff_balance = fam
             now = self.sim.now
-            inert = self._balance_inert
             for i, cpu in enumerate(self.machine.cpu_ids):
                 offset = interval * (i + 1) / (len(self.machine.cpu_ids) + 1)
-                chain = fam.add(
-                    cpu, self._lbl_balance[cpu], now + offset, inert
-                )
+                chain = fam.add(cpu, self._lbl_balance[cpu], now + offset)
                 chain.fire = self._balance_chain_fire(cpu, chain)
                 if inert():
                     fam.park(chain)  # born inert: never touches the heap

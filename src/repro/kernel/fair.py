@@ -1,19 +1,25 @@
 """The Completely Fair Scheduler class (SCHED_NORMAL / SCHED_BATCH).
 
-Runnable tasks live in a red-black tree ordered by virtual runtime; the
+Runnable tasks live on a timeline ordered by virtual runtime; the
 leftmost task — the one that has received the least weighted CPU time —
 runs next (paper §III).  Weights follow the kernel's nice-to-weight
 table; a task's slice within the ``sched_latency`` period is
 proportional to its weight, bounded below by ``sched_min_granularity``;
 wakeup preemption applies a ``sched_wakeup_granularity`` margin.
+
+Linux keeps the timeline in a red-black tree.  Here it is a sorted
+list, because the queues are short: on the four benchmark workloads at
+full size, no insert ever found more than two tasks already queued, and
+most found none (e.g. ``paper_report`` at seed 0: 23,009 inserts into
+an empty queue, 3,572 into a queue of one, none into a queue of two).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.kernel.policies import FAIR_POLICIES
-from repro.kernel.rbtree import RBNode, RBTree
 from repro.kernel.sched_class import SchedClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,32 +48,41 @@ def nice_to_weight(nice: int) -> int:
 
 
 class CFSQueue:
-    """Per-CPU CFS state: the timeline tree + aggregate load."""
+    """Per-CPU CFS state: the timeline + aggregate load.
 
-    __slots__ = ("tree", "nodes", "min_vruntime", "total_weight")
+    ``timeline`` holds ``(vruntime, pid, task)`` entries in ascending
+    order.  The pid makes every key unique, so the order is total and
+    the task itself is never compared; ``entries`` maps a queued pid to
+    its entry, which is how :meth:`remove` finds it again even after the
+    task's vruntime moved on.
+    """
+
+    __slots__ = ("timeline", "entries", "min_vruntime", "total_weight")
 
     def __init__(self) -> None:
-        self.tree = RBTree()
-        self.nodes: Dict[int, RBNode] = {}  # pid -> node handle
+        self.timeline: List[Tuple[float, int, "Task"]] = []
+        self.entries: Dict[int, Tuple[float, int, "Task"]] = {}
         self.min_vruntime = 0.0
         self.total_weight = 0
 
     def insert(self, task: "Task") -> None:
         """Place a task on the timeline at its current vruntime."""
-        node = self.tree.insert((task.vruntime, task.pid), task)
-        self.nodes[task.pid] = node
+        entry = (task.vruntime, task.pid, task)
+        insort(self.timeline, entry)
+        self.entries[task.pid] = entry
         self.total_weight += nice_to_weight(task.nice)
 
     def remove(self, task: "Task") -> None:
         """Take a queued task off the timeline."""
-        node = self.nodes.pop(task.pid)
-        self.tree.delete(node)
+        entry = self.entries.pop(task.pid)
+        timeline = self.timeline
+        del timeline[bisect_left(timeline, entry)]
         self.total_weight -= nice_to_weight(task.nice)
 
     def leftmost(self) -> Optional["Task"]:
         """The task with the smallest vruntime (next to run)."""
-        node = self.tree.minimum()
-        return node.value if node is not None else None
+        timeline = self.timeline
+        return timeline[0][2] if timeline else None
 
 
 class FairClass(SchedClass):
@@ -95,7 +110,7 @@ class FairClass(SchedClass):
     # ------------------------------------------------------------------
     def enqueue_task(self, rq: "RunQueue", task: "Task") -> None:
         q = rq.queue_for(self)
-        if task.pid in q.nodes:
+        if task.pid in q.entries:
             raise ValueError(f"{task!r} double-enqueued in CFS")
         q.insert(task)
         self._update_min_vruntime(rq)
@@ -105,19 +120,16 @@ class FairClass(SchedClass):
 
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:
         q = rq.class_queues.get(self.name)
-        if q is None:
+        if q is None or not q.timeline:
             return None
-        node = q.tree.pop_min()
-        if node is None:
-            return None
-        task = node.value
-        del q.nodes[task.pid]
+        task = q.timeline.pop(0)[2]
+        del q.entries[task.pid]
         q.total_weight -= nice_to_weight(task.nice)
         return task
 
     def nr_queued(self, rq: "RunQueue") -> int:
         q = rq.class_queues.get(self.name)
-        return 0 if q is None else len(q.tree)
+        return 0 if q is None else len(q.timeline)
 
     # ------------------------------------------------------------------
     # Accounting & preemption
@@ -136,14 +148,8 @@ class FairClass(SchedClass):
         pass  # placement happens in task_placed() once the CPU is known
 
     def task_placed(self, rq: "RunQueue", task: "Task") -> None:
-        """Normalize a woken/new task's vruntime against this queue.
-
-        Reads ``min_vruntime``, which ticks advance via ``update_curr``
-        even for a solo running task — this observation is why the
-        fast-forward engine never elides ticks on a *busy* CPU (its
-        inertness witness is strictly "the CPU is idle"): deferring the
-        accrual would place a waker against a stale floor.
-        """
+        """Normalize a woken/new task's vruntime against this queue's
+        ``min_vruntime`` floor."""
         q = rq.queue_for(self)
         floor = q.min_vruntime - self._latency
         if task.vruntime < floor:
@@ -176,13 +182,13 @@ class FairClass(SchedClass):
         return woken.vruntime + vgran < cur.vruntime
 
     def put_prev_task(self, rq: "RunQueue", task: "Task") -> None:
-        # The task returns to the tree via the core's enqueue path.
+        # The task returns to the timeline via the core's enqueue path.
         pass
 
     def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
         # Rightmost (least urgent) tasks are the cheapest to migrate.
         q = rq.queue_for(self)
-        return [t for _, t in q.tree.items()][::-1]
+        return [task for _, _, task in reversed(q.timeline)]
 
     # ------------------------------------------------------------------
     def _ideal_slice(self, rq: "RunQueue", task: "Task") -> float:

@@ -3,8 +3,8 @@
 The Scheduler Core treats classes as objects and calls their methods for
 every low-level operation: enqueue/dequeue, picking the next task,
 accounting a tick, wakeup-preemption decisions.  Classes provide their
-own per-CPU queue data structure (priority arrays for RT, a red-black
-tree for CFS, round-robin lists for HPC), which is exactly the property
+own per-CPU queue data structure (priority arrays for RT, a sorted
+timeline for CFS, round-robin lists for HPC), which is exactly the property
 the paper exploits to add HPCSched without touching the other classes.
 """
 

@@ -44,23 +44,17 @@ class Tunables:
 
     def __init__(self) -> None:
         self._subscribers: List[Callable[[], None]] = []
-        if type(self) is Tunables:
-            if Tunables._proto_entries is None:
-                self._entries: Dict[str, _Entry] = {}
-                self._owns_entries = True
-                self._register_defaults()
-                Tunables._proto_entries = {
-                    path: _Entry(e.value, e.kind, e.validate, e.doc)
-                    for path, e in self._entries.items()
-                }
-            else:
-                self._entries = Tunables._proto_entries
-                self._owns_entries = False
-        else:
-            # Subclasses may override _register_defaults; never share.
-            self._entries = {}
+        if Tunables._proto_entries is None:
+            self._entries: Dict[str, _Entry] = {}
             self._owns_entries = True
             self._register_defaults()
+            Tunables._proto_entries = {
+                path: _Entry(e.value, e.kind, e.validate, e.doc)
+                for path, e in self._entries.items()
+            }
+        else:
+            self._entries = Tunables._proto_entries
+            self._owns_entries = False
 
     def _own_entries(self) -> None:
         """Detach from the shared default table before any write."""
@@ -170,10 +164,6 @@ class Tunables:
         self.register(
             "kernel/tick_period", 0.001, float, pos,
             "Scheduler tick period (HZ=1000).",
-        )
-        self.register(
-            "kernel/full_ticks", False, bool, None,
-            "Disable the NOHZ optimization and tick unconditionally.",
         )
         self.register(
             "kernel/loadbalance_interval", 0.064, float, pos,

@@ -10,17 +10,18 @@ all: its effect on every future observable is the identity.
 
 This module is that elision as a reusable mechanism:
 
-* A :class:`TimerChain` is one periodic timer (one CPU's balance timer,
-  one CPU's ``full_ticks`` tick).  It is either *armed* (a real event in
-  the queue — indistinguishable from the stock chain) or *parked* (no
-  event; only the next chain point is remembered).
-* A chain may be parked only while its **inertness witness** holds: a
-  predicate over owner state proving the fire's body is a no-op (e.g.
-  "no runnable task anywhere" for a balance round).  The owner must
-  invalidate eagerly: every state transition that can break the witness
-  (a run queue's 0→1 edge, a migratable task appearing, a task being
-  installed on an idle CPU) calls back into the family, which re-arms
-  the chain at its first chain point at or after ``now``.
+* A :class:`TimerChain` is one periodic timer (one CPU's balance
+  timer).  It is either *armed* (a real event in the queue —
+  indistinguishable from the stock chain) or *parked* (no event; only
+  the next chain point is remembered).
+* A chain may be parked only while its family's **inertness witness**
+  holds: a predicate over owner state proving the fire's body is a
+  no-op (for a balance round: nothing queued anywhere, or no
+  migratable task).  One witness covers every chain of a family.  The
+  owner must invalidate eagerly: every state transition that can break
+  the witness (a run queue's 0→1 edge, a migratable task appearing)
+  calls back into the family, which re-arms each parked chain at its
+  first chain point at or after ``now``.
 * Re-arm arithmetic is **bit-exact**: the walk repeats the serial
   re-arms' ``t += interval`` float accumulation from the parked anchor,
   so a reinstated fire lands at exactly the instant the serial chain
@@ -60,7 +61,7 @@ twin-run elision tests compare against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.engine import Simulator
@@ -75,20 +76,14 @@ class TimerChain:
     the owner's fire wrapper and by the family's walk helpers.
     """
 
-    __slots__ = ("key", "label", "fire", "inert", "next_time", "event", "family")
+    __slots__ = ("key", "label", "fire", "next_time", "event", "family")
 
     def __init__(
-        self,
-        key: Any,
-        label: str,
-        anchor: float,
-        inert: Callable[[], bool],
-        family: "ChainFamily",
+        self, key: Any, label: str, anchor: float, family: "ChainFamily"
     ) -> None:
         self.key = key
         self.label = label
         self.fire: Callable[[], Any] = _unset_fire
-        self.inert = inert
         self.next_time = anchor
         self.event: Optional[Any] = None
         self.family = family
@@ -99,21 +94,34 @@ def _unset_fire() -> None:  # pragma: no cover - programming error guard
 
 
 class ChainFamily:
-    """All chains of one owner sharing interval, priority and re-arm
-    arithmetic (a kernel's balance timers; its ``full_ticks`` ticks).
+    """All chains of one owner sharing interval, priority, inertness
+    witness and re-arm arithmetic (a kernel's balance timers).
 
     The owner provides the fire wrappers (which decide park vs. arm at
-    each fire with the exact serial guards) and calls the invalidation
-    entry points from its witness-breaking edges.  The family owns the
-    arithmetic: bit-exact walks, dead-window reaping, tunable re-timing.
+    each fire with the exact serial guards) and calls
+    :meth:`unpark_ready` from its witness-breaking edges.  The family
+    owns the arithmetic: bit-exact walks, dead-window reaping, tunable
+    re-timing.
     """
 
-    __slots__ = ("sim", "interval", "priority", "chains", "parked", "dead_at", "elided")
+    __slots__ = (
+        "sim", "interval", "priority", "inert", "chains", "parked",
+        "dead_at", "elided",
+    )
 
-    def __init__(self, sim: "Simulator", interval: float, priority: int) -> None:
+    def __init__(
+        self,
+        sim: "Simulator",
+        interval: float,
+        priority: int,
+        inert: Callable[[], bool],
+    ) -> None:
         self.sim = sim
         self.interval = interval
         self.priority = priority
+        #: The witness: true while every fire of every chain would be a
+        #: no-op re-arm.
+        self.inert = inert
         self.chains: Dict[Any, TimerChain] = {}
         #: Number of currently-parked chains (fast guard for edge hooks).
         self.parked = 0
@@ -124,16 +132,10 @@ class ChainFamily:
         self.elided = 0
 
     # -- construction ---------------------------------------------------
-    def add(
-        self,
-        key: Any,
-        label: str,
-        anchor: float,
-        inert: Callable[[], bool],
-    ) -> TimerChain:
+    def add(self, key: Any, label: str, anchor: float) -> TimerChain:
         """Create a chain anchored at absolute time ``anchor`` (not yet
         armed nor parked; the caller assigns ``fire`` then picks one)."""
-        chain = TimerChain(key, label, anchor, inert, self)
+        chain = TimerChain(key, label, anchor, self)
         self.chains[key] = chain
         return chain
 
@@ -160,23 +162,19 @@ class ChainFamily:
 
     # -- invalidation ---------------------------------------------------
     def unpark_ready(self) -> None:
-        """Reinstate every parked chain whose witness no longer holds.
+        """Reinstate every parked chain once the witness no longer holds.
 
         Called from the owner's witness-breaking edges (inside the event
         that broke the witness, before any same-instant chain fire with
-        a later priority could have run).
+        a later priority could have run).  Reinstating touches only the
+        queue and the family, never the owner state the witness reads,
+        so one test covers the whole family.
         """
-        if not self.parked:
+        if not self.parked or self.inert():
             return
         for chain in list(self.chains.values()):
-            if chain.event is None and not chain.inert():
+            if chain.event is None:
                 self._reinstate(chain)
-
-    def unpark_one(self, chain: TimerChain) -> None:
-        """Reinstate one specific parked chain (per-chain witnesses,
-        e.g. the per-CPU tick chain on a non-idle install)."""
-        if chain.event is None:
-            self._reinstate(chain)
 
     def _reinstate(self, chain: TimerChain) -> None:
         """Walk the parked chain to its first not-yet-elided chain point
@@ -290,21 +288,6 @@ class ChainFamily:
                 chain.next_time = t
                 self.elided += elided
         self.interval = new_interval
-
-    # -- teardown -------------------------------------------------------
-    def dissolve(self) -> List[TimerChain]:
-        """Drop every chain, cancelling armed events (used when the
-        owner leaves the fast-forward regime, e.g. ``full_ticks`` is
-        switched off mid-run and stock NOHZ arming takes over)."""
-        dropped = list(self.chains.values())
-        for chain in dropped:
-            if chain.event is not None and not chain.event.cancelled:
-                chain.event.cancel()
-            chain.event = None
-        self.chains.clear()
-        self.parked = 0
-        self.dead_at = None
-        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

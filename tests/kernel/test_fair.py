@@ -1,10 +1,12 @@
 """CFS class tests: weights, vruntime, fairness, wakeup preemption."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kernel import Compute, Kernel, Sleep
 from repro.kernel.fair import NICE_0_LOAD, PRIO_TO_WEIGHT, nice_to_weight
 from repro.kernel.policies import TaskState
+from repro.kernel.task import Task
 from tests.conftest import compute_sleep_program, pure_compute_program
 
 
@@ -119,3 +121,57 @@ def test_double_enqueue_rejected(quiet_kernel):
     if t.state == TaskState.READY:
         with pytest.raises(ValueError):
             k.fair.enqueue_task(rq, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["ins", "del", "pick"]),
+            st.integers(0, 11),  # pid, or an index into the queued tasks
+            st.sampled_from([0.0, 0.5, 1.0, 2.5]),  # few vruntimes: ties
+            st.sampled_from([-5, 0, 7]),
+        ),
+        max_size=120,
+    )
+)
+def test_cfs_queue_matches_a_sorted_model(ops):
+    """Random inserts, removes and picks against a sorted model: the
+    timeline is ordered by (vruntime, pid), so equal vruntimes are
+    tie-broken by pid; leftmost, nr_queued, total weight and the
+    pull-candidate order follow, and a queued pid cannot enqueue
+    twice."""
+    k = Kernel()
+    fair = k.fair
+    rq = k.rqs[0]
+    q = rq.queue_for(fair)
+    model = {}  # pid -> task
+    for op, n, vruntime, nice in ops:
+        if op == "ins":
+            if n in model:
+                with pytest.raises(ValueError, match="double-enqueued"):
+                    fair.enqueue_task(rq, model[n])
+            else:
+                task = Task(pid=n, name=f"t{n}", nice=nice)
+                task.vruntime = vruntime
+                fair.enqueue_task(rq, task)
+                model[n] = task
+        elif op == "del" and model:
+            pid = sorted(model)[n % len(model)]
+            task = model.pop(pid)
+            # The queued key stays the one it was inserted under.
+            task.vruntime += 10.0
+            fair.dequeue_task(rq, task)
+        elif op == "pick":
+            picked = fair.pick_next_task(rq)
+            if model:
+                first = min(model.values(), key=lambda t: (t.vruntime, t.pid))
+                assert picked is first
+                del model[picked.pid]
+            else:
+                assert picked is None
+        order = sorted(model.values(), key=lambda t: (t.vruntime, t.pid))
+        assert q.leftmost() is (order[0] if order else None)
+        assert fair.nr_queued(rq) == len(order)
+        assert fair.pull_candidates(rq) == order[::-1]
+        assert q.total_weight == sum(nice_to_weight(t.nice) for t in order)

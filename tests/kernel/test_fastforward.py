@@ -4,7 +4,7 @@ Every test runs the same scenario twice — fast-forward on and off — and
 asserts the *traces are identical* (same scheduler decisions at the same
 instants) while the fast-forward run processes fewer events.  The races
 pinned here are the ones where a wrong re-arm walk would silently shift
-a balance round or a tick:
+a balance round:
 
 * witness invalidated at the *exact* instant of an elided chain point
   (both same-instant orderings: invalidator before and after the chain
@@ -18,7 +18,7 @@ a balance round or a tick:
 import pytest
 
 from repro.kernel import Compute, Kernel, Sleep
-from repro.kernel.core_sched import EVPRIO_BALANCE, EVPRIO_TICK
+from repro.kernel.core_sched import EVPRIO_BALANCE
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import TableDrivenModel
 from repro.trace.collector import TraceCollector
@@ -255,46 +255,3 @@ def test_cluster_elides_events_with_identical_exits(monkeypatch):
     for f, s in zip(fast, stock):
         assert f.rank_exit == s.rank_exit
         assert 0 < f.events < s.events
-
-
-# ----------------------------------------------------------------------
-# Tick chains (full_ticks mode)
-# ----------------------------------------------------------------------
-def test_full_ticks_idle_cpus_park_their_tick_chains():
-    # One pinned hog on cpu0 in full_ticks mode: cpu0's tick chain is
-    # armed (accounting must run), the other CPUs' chains park once
-    # their queues go idle — that is where the elision lives.
-    def scenario(k):
-        k.tunables.set("kernel/full_ticks", True)
-        k.spawn("hog", _hog(0.2), cpu=0, cpus_allowed=[0])
-
-    on, off = twin_run(scenario, until=0.25)
-    assert on.sim.events_processed < off.sim.events_processed
-
-
-@pytest.mark.parametrize(
-    "prio", [1, EVPRIO_TICK + 1], ids=["before-tick", "after-tick"]
-)
-def test_wake_on_exact_tick_chain_point(prio):
-    # A task lands on an idle CPU at exactly that CPU's parked tick
-    # chain point.  prio 1 (< EVPRIO_TICK): the serial tick fires after
-    # the wake and must be re-armed at the collided instant; prio 3
-    # (> EVPRIO_TICK): the serial tick fired first against an idle CPU
-    # (no-op), so the collided point stays elided.
-    def scenario(k):
-        k.tunables.set("kernel/full_ticks", True)
-        period = k.tunables.get("kernel/tick_period")
-        # Seed cpu1's tick chain: a short task whose exit leaves the
-        # CPU idle and the chain parked, with points at i*period from 0.
-        k.spawn("seed", _hog(period * 2.5), cpu=1, cpus_allowed=[1])
-        t = 0.0
-        while t < period * 7:  # a parked point well past seed's exit
-            t += period
-        k.sim.at(
-            t,
-            lambda: k.spawn("late", _hog(period * 3), cpu=1, cpus_allowed=[1]),
-            priority=prio,
-        )
-
-    on, off = twin_run(scenario, until=0.02)
-    assert on.sim.events_processed <= off.sim.events_processed

@@ -18,15 +18,6 @@ def test_single_task_runs_tickless(quiet_kernel):
     assert k.sim.events_processed < 1000  # << 4800 ticks
 
 
-def test_full_ticks_mode_fires_every_period(quiet_kernel):
-    k = quiet_kernel
-    k.tunables.set("kernel/full_ticks", True)
-    k.spawn("t", pure_compute_program(1.0), cpu=0)
-    k.run()
-    # ~1.0/2.1 seconds at 1ms ticks -> hundreds of events
-    assert k.sim.events_processed > 300
-
-
 def test_competition_enables_ticks(quiet_kernel):
     k = quiet_kernel
     k.spawn("a", pure_compute_program(0.1), cpu=0, cpus_allowed=[0])

@@ -106,12 +106,12 @@ def test_cur_event_prio_visible_during_delivery():
 # ----------------------------------------------------------------------
 # ChainFamily arithmetic
 # ----------------------------------------------------------------------
-def _family(sim, interval=0.1, priority=6):
-    return ChainFamily(sim, interval, priority)
+def _family(sim, interval=0.1, priority=6, inert=lambda: False):
+    return ChainFamily(sim, interval, priority, inert)
 
 
-def _parked_chain(fam, anchor, inert=lambda: False, key="c0"):
-    chain = fam.add(key, f"chain/{key}", anchor, inert)
+def _parked_chain(fam, anchor, key="c0"):
+    chain = fam.add(key, f"chain/{key}", anchor)
     chain.fire = lambda: None
     fam.park(chain)
     return chain
@@ -174,15 +174,35 @@ def test_reinstate_tie_rearms_at_now_when_chain_fires_later():
 
 
 def test_unpark_ready_skips_still_inert_chains():
+    # One witness covers the family: while it holds, an invalidation
+    # call reinstates nothing; once it breaks, every parked chain is
+    # re-armed at its own next chain point.
     sim = Simulator()
-    fam = _family(sim)
-    inert_chain = _parked_chain(fam, 0.05, inert=lambda: True, key="inert")
-    live_chain = _parked_chain(fam, 0.05, inert=lambda: False, key="live")
-    sim.at(0.2, fam.unpark_ready, priority=1)
+    state = {"inert": True}
+    fam = _family(sim, inert=lambda: state["inert"])
+    a = _parked_chain(fam, 0.05, key="a")
+    b = _parked_chain(fam, 0.08, key="b")
+    fired = []
+    a.fire = lambda: fired.append(("a", sim.now))
+    b.fire = lambda: fired.append(("b", sim.now))
+
+    def still_inert():
+        fam.unpark_ready()
+        assert a.event is None and b.event is None
+        assert fam.parked == 2
+
+    def break_witness():
+        state["inert"] = False
+        fam.unpark_ready()
+
+    sim.at(0.2, still_inert, priority=1)
+    sim.at(0.31, break_witness, priority=1)
     sim.run()
-    assert inert_chain.event is None  # still parked
-    assert live_chain.event is not None or live_chain.next_time > 0.2
-    assert fam.parked == 1
+    assert fam.parked == 0
+    assert fired == [
+        ("a", _serial_walk(0.05, 0.1, 0.31)),
+        ("b", _serial_walk(0.08, 0.1, 0.31)),
+    ]
 
 
 def test_dead_window_reaps_chains_whose_points_fell_inside():
@@ -240,16 +260,3 @@ def test_retime_same_interval_is_noop():
     chain = _parked_chain(fam, anchor=0.05)
     fam.retime(0.1)
     assert chain.next_time == 0.05
-
-
-def test_dissolve_cancels_armed_and_forgets_parked():
-    sim = Simulator()
-    fam = _family(sim)
-    armed = fam.add("armed", "chain/armed", 1.0, lambda: False)
-    armed.fire = lambda: None
-    fam.arm(armed)
-    _parked_chain(fam, 0.5, key="parked")
-    dropped = fam.dissolve()
-    assert {c.key for c in dropped} == {"armed", "parked"}
-    assert not fam.chains and fam.parked == 0
-    assert len(sim.queue) == 0  # armed event cancelled
