@@ -71,11 +71,11 @@ class HPCSchedClass(SchedClass):
         return HPCQueue()
 
     def enqueue_task(self, rq: "RunQueue", task: "Task") -> None:
-        rq.queue_for(self).tasks.append(task)
+        rq.class_queues[self.name].tasks.append(task)
 
     def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
         try:
-            rq.queue_for(self).tasks.remove(task)
+            rq.class_queues[self.name].tasks.remove(task)
         except ValueError:
             raise ValueError(f"{task!r} not queued in HPC class") from None
 
@@ -119,7 +119,7 @@ class HPCSchedClass(SchedClass):
 
     def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
         # Back of the round-robin list first: least disruption.
-        return list(rq.queue_for(self).tasks)[::-1]
+        return list(rq.class_queues[self.name].tasks)[::-1]
 
     # ------------------------------------------------------------------
     # Detector integration

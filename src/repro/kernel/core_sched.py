@@ -61,6 +61,15 @@ EVPRIO_BALANCE = 6
 #: Work remainders below this are treated as completed (float dust).
 _WORK_EPSILON = 1e-12
 
+# Task states as module globals: the switch path tests and sets them
+# several times per event, and a global load costs a fraction of an
+# enum member lookup (DESIGN §7, per-switch rules).
+_NEW = TaskState.NEW
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_SLEEPING = TaskState.SLEEPING
+_EXITED = TaskState.EXITED
+
 
 class _ReschedBatch:
     """The CPUs flagged for rescheduling at the current instant, shared
@@ -131,8 +140,12 @@ class Kernel:
         #: Parked balance timers (None until the balance chains start).
         self._ff_balance: Optional[ChainFamily] = None
 
+        #: Scheduling classes in priority order, filled below and by
+        #: register_class; each run queue builds a class's queue from it
+        #: on the class's first use on that CPU.
+        self.classes: List[SchedClass] = []
         self.rqs: Dict[int, RunQueue] = {
-            cpu: RunQueue(cpu) for cpu in self.machine.cpu_ids
+            cpu: RunQueue(cpu, self.classes) for cpu in self.machine.cpu_ids
         }
 
         # Hot-path caches.  Hardware contexts never change after machine
@@ -167,7 +180,7 @@ class Kernel:
         self.rt = RTClass(self)
         self.fair = FairClass(self)
         self.idle_class = IdleClass(self)
-        self.classes: List[SchedClass] = [self.rt, self.fair, self.idle_class]
+        self.classes.extend((self.rt, self.fair, self.idle_class))
 
         self.balancer = LoadBalancer(self)
         #: Class -> rank in the priority order, rebuilt on
@@ -242,7 +255,7 @@ class Kernel:
             idle.policy = SchedPolicy.IDLE
             idle.sched_class = self.idle_class
             self.idle_class.register_idle_task(cpu, idle)
-            idle.state = TaskState.RUNNING
+            idle.state = _RUNNING
             idle.cpu = cpu
             self.rqs[cpu].current = idle
             self.machine.context(cpu).idle()
@@ -312,14 +325,14 @@ class Kernel:
 
     def start_task(self, task: Task, cpu: Optional[int] = None) -> None:
         """Make a NEW task runnable (fork + wake_up_new_task)."""
-        if task.state != TaskState.NEW:
+        if task.state != _NEW:
             raise ValueError(f"{task!r} already started")
         task.sched_class = self.class_for_policy(task.policy)
         if cpu is None:
             cpu = self.balancer.select_cpu(task)
         elif not task.allows_cpu(cpu):
             raise ValueError(f"{task!r} not allowed on cpu{cpu}")
-        task.state = TaskState.READY
+        task.state = _READY
         task.state_since = self.sim.now
         task.sched_class.task_new(self.rqs[cpu], task)
         if not task.daemon:
@@ -359,7 +372,7 @@ class Kernel:
         self.update_curr(rq)
         task.bank_progress(self.sim.now)
         task.cancel_phase_event()
-        task.state = TaskState.EXITED
+        task.state = _EXITED
         task.sum_run_time += self.sim.now - task.state_since
         task.state_since = self.sim.now
         task.sched_class.task_exit(rq, task)
@@ -390,9 +403,11 @@ class Kernel:
     def wake_up(self, task: Task) -> bool:
         """Transition a sleeping task to runnable; returns False if the
         task was not sleeping (spurious wakeup)."""
-        if task.state != TaskState.SLEEPING:
+        if task.state != _SLEEPING:
             return False
-        task.state = TaskState.READY
+        if self.oracles is not None:
+            self.oracles.on_wake(task, self.sim.now)
+        task.state = _READY
         task.sum_wait_time += self.sim.now - task.state_since
         task.state_since = self.sim.now
         cpu = self._select_wake_cpu(task)
@@ -412,6 +427,9 @@ class Kernel:
         topologically nearest idle allowed CPU (select_idle_sibling);
         otherwise stay on the previous CPU and queue."""
         prev = task.cpu
+        mask = task.cpus_allowed
+        if mask is not None and len(mask) == 1 and prev in mask:
+            return prev  # pinned: no other CPU to consider
         if prev is not None and task.allows_cpu(prev):
             rq = self.rqs[prev]
             cur = rq.current
@@ -435,7 +453,7 @@ class Kernel:
         self.update_curr(rq)
         task.bank_progress(self.sim.now)
         task.cancel_phase_event()
-        task.state = TaskState.SLEEPING
+        task.state = _SLEEPING
         task.sum_run_time += self.sim.now - task.state_since
         task.state_since = self.sim.now
         task.sleep_reason = req.sleep_reason
@@ -483,9 +501,9 @@ class Kernel:
             raise ValueError(f"{task!r} not allowed on cpu{dst}")
         if task.cpu == dst:
             return
-        if task.state == TaskState.READY:
+        if task.state == _READY:
             self._dequeue(task)
-        elif task.state == TaskState.RUNNING:
+        elif task.state == _RUNNING:
             src = task.cpu
             assert src is not None
             rq = self.rqs[src]
@@ -493,7 +511,7 @@ class Kernel:
             self.update_curr(rq)
             task.bank_progress(self.sim.now)
             task.cancel_phase_event()
-            task.state = TaskState.READY
+            task.state = _READY
             task.sum_run_time += self.sim.now - task.state_since
             task.state_since = self.sim.now
             task.sched_class.put_prev_task(rq, task)
@@ -516,7 +534,7 @@ class Kernel:
         CPU (queued tasks immediately, running ones at reschedule)."""
         old = task.cpus_allowed
         task.cpus_allowed = set(cpus) if cpus is not None else None
-        if task.state not in (TaskState.NEW, TaskState.EXITED):
+        if task.state not in (_NEW, _EXITED):
             # Keep the migratable-task census exact across mask changes
             # (started tasks were counted by start_task).
             was = old is None or len(old) > 1
@@ -531,9 +549,9 @@ class Kernel:
                 self._migratable -= 1
         if task.cpus_allowed is None:
             return
-        if task.state == TaskState.READY and task.cpu not in task.cpus_allowed:
+        if task.state == _READY and task.cpu not in task.cpus_allowed:
             self.migrate(task, self.balancer.select_cpu(task))
-        elif task.state == TaskState.RUNNING and task.cpu not in task.cpus_allowed:
+        elif task.state == _RUNNING and task.cpu not in task.cpus_allowed:
             self.resched(task.cpu)  # moved off at the next reschedule
 
     # ------------------------------------------------------------------
@@ -546,7 +564,7 @@ class Kernel:
         new_class = self.class_for_policy(policy)
         old_class = task.sched_class
         rq = self.rqs[task.cpu] if task.cpu is not None else None
-        was_queued = task.state == TaskState.READY
+        was_queued = task.state == _READY
         if was_queued:
             self._dequeue(task)
         if old_class is not None and rq is not None and old_class is not new_class:
@@ -561,14 +579,14 @@ class Kernel:
             assert task.cpu is not None
             self._enqueue(task, task.cpu, wakeup=False)
             self._check_preempt(task.cpu, task)
-        elif task.state == TaskState.RUNNING:
+        elif task.state == _RUNNING:
             assert task.cpu is not None
             self.resched(task.cpu)
 
     def yield_current(self, task: Task) -> None:
         """``sched_yield``: reschedule, sending the caller to the tail
         of its queue."""
-        if task.state == TaskState.RUNNING and task.cpu is not None:
+        if task.state == _RUNNING and task.cpu is not None:
             task._sched_yield = True
             self.resched(task.cpu)
 
@@ -596,7 +614,7 @@ class Kernel:
         task.hw_priority = int(priority)
         task.hw_priority_history += ((self.sim.now, int(priority)),)
         self._trace(task, "hw_priority", priority=int(priority))
-        if task.state == TaskState.RUNNING and task.cpu is not None:
+        if task.state == _RUNNING and task.cpu is not None:
             ctx = self._ctxs[task.cpu]
             ctx.set_priority(priority)
             self._rates_changed(ctx.core)
@@ -637,11 +655,11 @@ class Kernel:
         # A still-runnable prev (preemption path) goes back to its queue —
         # or to an allowed CPU if its affinity mask no longer covers this
         # one (sched_setaffinity while running).
-        if prev is not None and prev.state == TaskState.RUNNING and not prev.is_idle_task:
+        if prev is not None and prev.state == _RUNNING and not prev.is_idle_task:
             self.update_curr(rq)
             prev.bank_progress(self.sim.now)
             prev.cancel_phase_event()
-            prev.state = TaskState.READY
+            prev.state = _READY
             prev.sum_run_time += self.sim.now - prev.state_since
             prev.state_since = self.sim.now
             prev.sched_class.put_prev_task(rq, prev)
@@ -656,7 +674,14 @@ class Kernel:
                 self._check_preempt(dst, prev)
 
         next_task = self._pick_next(rq)
-        if next_task.is_idle_task and rq.nr_queued == 0 and self._queued_total:
+        # With no migratable task anywhere, _steal can move nothing
+        # (the same census that parks the balance chains, DESIGN §12).
+        if (
+            next_task.is_idle_task
+            and rq.nr_queued == 0
+            and self._queued_total
+            and self._migratable
+        ):
             pulled = self.balancer.idle_pull(cpu)
             if pulled is not None:
                 next_task = self._pick_next(rq)
@@ -698,14 +723,15 @@ class Kernel:
         ctx = self._ctxs[cpu]
 
         if task.is_idle_task:
-            task.state = TaskState.RUNNING
+            task.state = _RUNNING
             task.cpu = cpu
             ctx.idle()
             self._rates_changed(ctx.core, skip_ctx=ctx)
-            self._update_tick(cpu)
+            if rq.nr_queued:
+                self._update_tick(cpu)
             return
 
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         task.cpu = cpu
         task.exec_start = now
         task.sum_ready_time += now - task.state_since
@@ -724,7 +750,8 @@ class Kernel:
             self._start_phase(cpu, task, delay=cost)
         else:
             self._advance_program(cpu, task)
-        self._update_tick(cpu)
+        if rq.nr_queued:  # every needs_tick wants a waiting task
+            self._update_tick(cpu)
 
     # ------------------------------------------------------------------
     # Fluid-rate compute phases
@@ -751,7 +778,7 @@ class Kernel:
 
     def _phase_complete(self, cpu: int, task: Task, epoch: int) -> None:
         task.phase_event = None
-        if task.state != TaskState.RUNNING or task.cpu != cpu:
+        if task.state != _RUNNING or task.cpu != cpu:
             return  # stale event (defensive; cancels should prevent this)
         if epoch != task.phase_epoch:
             # The authoritative ETA moved later while this event rode in
@@ -819,7 +846,7 @@ class Kernel:
         dirty = self._dirty_cores
         now = self.sim.now
         advance = self.pmu.advance_core if self.pmu_enabled else None
-        running = TaskState.RUNNING
+        running = _RUNNING
         while dirty:
             batch = list(dirty.values())
             dirty.clear()
@@ -963,7 +990,7 @@ class Kernel:
                 if not cont:
                     self._block_current(cpu, task, req)
                     return
-                if rq.current is not task or task.state != TaskState.RUNNING:
+                if rq.current is not task or task.state != _RUNNING:
                     return  # the request displaced us
                 if rq.need_resched:
                     return  # preemption point (yield, priority change...)

@@ -109,14 +109,14 @@ class FairClass(SchedClass):
     # Queue operations
     # ------------------------------------------------------------------
     def enqueue_task(self, rq: "RunQueue", task: "Task") -> None:
-        q = rq.queue_for(self)
+        q = rq.class_queues[self.name]
         if task.pid in q.entries:
             raise ValueError(f"{task!r} double-enqueued in CFS")
         q.insert(task)
         self._update_min_vruntime(rq)
 
     def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
-        rq.queue_for(self).remove(task)
+        rq.class_queues[self.name].remove(task)
 
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:
         q = rq.class_queues.get(self.name)
@@ -150,7 +150,7 @@ class FairClass(SchedClass):
     def task_placed(self, rq: "RunQueue", task: "Task") -> None:
         """Normalize a woken/new task's vruntime against this queue's
         ``min_vruntime`` floor."""
-        q = rq.queue_for(self)
+        q = rq.class_queues[self.name]
         floor = q.min_vruntime - self._latency
         if task.vruntime < floor:
             task.vruntime = floor
@@ -168,7 +168,7 @@ class FairClass(SchedClass):
             return
         # Even within the slice, a sufficiently starved leftmost task
         # preempts once the minimum granularity has elapsed.
-        q = rq.queue_for(self)
+        q = rq.class_queues[self.name]
         left = q.leftmost()
         min_gran = self._min_gran
         if left is not None and ran >= min_gran and left.vruntime < task.vruntime:
@@ -187,14 +187,14 @@ class FairClass(SchedClass):
 
     def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
         # Rightmost (least urgent) tasks are the cheapest to migrate.
-        q = rq.queue_for(self)
+        q = rq.class_queues[self.name]
         return [task for _, _, task in reversed(q.timeline)]
 
     # ------------------------------------------------------------------
     def _ideal_slice(self, rq: "RunQueue", task: "Task") -> float:
         latency = self._latency
         min_gran = self._min_gran
-        q = rq.queue_for(self)
+        q = rq.class_queues[self.name]
         w = nice_to_weight(task.nice)
         total = q.total_weight + w
         if total <= 0:
@@ -202,16 +202,18 @@ class FairClass(SchedClass):
         return max(min_gran, latency * w / total)
 
     def _update_min_vruntime(self, rq: "RunQueue") -> None:
-        q = rq.queue_for(self)
-        candidates = []
-        left = q.leftmost()
-        if left is not None:
-            candidates.append(left.vruntime)
+        q = rq.class_queues[self.name]
+        # min/max of at most two values, spelled out with the builtins'
+        # tie order (the first of equals wins): leftmost, then current.
+        timeline = q.timeline
+        low = timeline[0][2].vruntime if timeline else None
         cur = rq.current
         if cur is not None and cur.policy in self.policies:
-            candidates.append(cur.vruntime)
-        if candidates:
-            q.min_vruntime = max(q.min_vruntime, min(candidates))
+            v = cur.vruntime
+            if low is None or v < low:
+                low = v
+        if low is not None and low > q.min_vruntime:
+            q.min_vruntime = low
         oracles = self.kernel.oracles
         if oracles is not None:
             oracles.on_min_vruntime(rq.cpu, q.min_vruntime)

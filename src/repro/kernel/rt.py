@@ -94,20 +94,20 @@ class RTClass(SchedClass):
         # higher-priority task).
         head = task._rt_requeue_head
         task._rt_requeue_head = False
-        rq.queue_for(self).push(task, front=head)
+        rq.class_queues[self.name].push(task, front=head)
 
     def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
-        rq.queue_for(self).remove(task)
+        rq.class_queues[self.name].remove(task)
 
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:
-        task = rq.queue_for(self).pop_best()
+        task = rq.class_queues[self.name].pop_best()
         if task is not None and task.policy == SchedPolicy.RR:
             if task.rr_slice_left <= 0.0:
                 task.rr_slice_left = self._rr_timeslice
         return task
 
     def nr_queued(self, rq: "RunQueue") -> int:
-        return rq.queue_for(self).count
+        return rq.class_queues[self.name].count
 
     def task_tick(self, rq: "RunQueue", task: "Task") -> None:
         if task.policy != SchedPolicy.RR:
@@ -117,7 +117,7 @@ class RTClass(SchedClass):
             return
         task.rr_slice_left = self._rr_timeslice
         # Round-robin only matters if a peer of the same priority waits.
-        q = rq.queue_for(self)
+        q = rq.class_queues[self.name]
         if q.best_priority() is not None and q.best_priority() >= task.rt_priority:
             self.kernel.resched(rq.cpu)
 
@@ -128,7 +128,7 @@ class RTClass(SchedClass):
     def needs_tick(self, rq: "RunQueue", task: "Task") -> bool:
         if task.policy != SchedPolicy.RR:
             return False
-        best = rq.queue_for(self).best_priority()
+        best = rq.class_queues[self.name].best_priority()
         return best is not None and best >= task.rt_priority
 
     def put_prev_task(self, rq: "RunQueue", task: "Task") -> None:
@@ -141,7 +141,7 @@ class RTClass(SchedClass):
 
     def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
         # Lowest-priority queued RT tasks are cheapest to migrate.
-        q = rq.queue_for(self)
+        q = rq.class_queues[self.name]
         out: List["Task"] = []
         for prio in sorted(q.lists):
             out.extend(q.lists[prio])

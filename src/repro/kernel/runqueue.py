@@ -1,19 +1,43 @@
 """Per-CPU run queue.
 
 Each CPU owns one :class:`RunQueue`.  The queue holds, per scheduling
-class, that class's private queue object (created lazily through
+class, that class's private queue object (built on first use through
 :meth:`SchedClass.create_queue`), plus the currently running task and
 the tick/resched bookkeeping the scheduler core needs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.sched_class import SchedClass
     from repro.kernel.task import Task
     from repro.simcore.events import Event
+
+
+class ClassQueues(dict):
+    """A CPU's class-private queues, keyed by class name.
+
+    Indexing the name of a class that has no queue here yet builds one
+    through that class's ``create_queue``, so the classes' hot paths
+    index the dict directly, with no accessor call, while a class never
+    used on a CPU allocates nothing there.  ``get`` reads without
+    building.  ``classes`` is the kernel's own class list, shared by
+    all its CPUs."""
+
+    __slots__ = ("classes",)
+
+    def __init__(self, classes: List["SchedClass"]) -> None:
+        super().__init__()
+        self.classes = classes
+
+    def __missing__(self, name: str) -> Any:
+        for cls in self.classes:
+            if cls.name == name:
+                q = self[name] = cls.create_queue()
+                return q
+        raise KeyError(name)
 
 
 class RunQueue:
@@ -24,13 +48,13 @@ class RunQueue:
         "resched_event", "tick_event", "curr_switched_in_at",
     )
 
-    def __init__(self, cpu: int) -> None:
+    def __init__(self, cpu: int, classes: List["SchedClass"]) -> None:
         self.cpu = cpu
         #: Currently running task (None only transiently; the idle task
         #: occupies the CPU when nothing else is runnable).
         self.current: Optional["Task"] = None
         #: Class-private queues, keyed by class name.
-        self.class_queues: Dict[str, Any] = {}
+        self.class_queues = ClassQueues(classes)
         #: Number of queued (not running) tasks across all classes.
         self.nr_queued = 0
         self.need_resched = False
@@ -40,15 +64,6 @@ class RunQueue:
         self.tick_event: Optional["Event"] = None
         #: Time the current task was switched in (for slice accounting).
         self.curr_switched_in_at: float = 0.0
-
-    def queue_for(self, sched_class: "SchedClass") -> Any:
-        """This CPU's private queue object of ``sched_class`` (created
-        lazily through the class's ``create_queue``)."""
-        q = self.class_queues.get(sched_class.name)
-        if q is None:
-            q = sched_class.create_queue()
-            self.class_queues[sched_class.name] = q
-        return q
 
     @property
     def nr_running(self) -> int:

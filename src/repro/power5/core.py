@@ -14,6 +14,7 @@ from typing import Any, List, Optional
 from repro.power5.perfmodel import PerformanceModel, PerfProfile, TableDrivenModel
 from repro.power5.priorities import (
     DEFAULT_PRIORITY,
+    PRIORITY_OF,
     HWPriority,
     PriorityError,
     coerce_priority,
@@ -45,7 +46,10 @@ class SMTContext:
     def load(self, task: Any, priority: int, busy: bool = True) -> None:
         """Install ``task`` on the context with hardware ``priority``."""
         self.task = task
-        self.priority = coerce_priority(priority)
+        try:
+            self.priority = PRIORITY_OF[priority]  # every context switch
+        except (KeyError, TypeError):
+            self.priority = coerce_priority(priority)  # raises PriorityError
         self.busy = busy
 
     def idle(self) -> None:
@@ -87,13 +91,12 @@ class SMTCore:
         Speed is a multiplier relative to the SMT-equal baseline (both
         contexts busy, equal priority -> 1.0).
         """
-        ctx = self.contexts[thread_index]
-        sib = ctx.sibling
+        # Priorities go in as members: they hash and compare as their
+        # ints, so the model's memo keys are the same.
+        contexts = self.contexts
+        sib = contexts[1 - thread_index]
         return self.perf_model.speed(
-            profile,
-            own_priority=int(ctx.priority),
-            sibling_priority=int(sib.priority),
-            sibling_busy=sib.busy,
+            profile, contexts[thread_index].priority, sib.priority, sib.busy
         )
 
     def context_speeds(
@@ -105,12 +108,7 @@ class SMTCore:
         context_speed(1, profile1))``."""
         c0, c1 = self.contexts
         return self.perf_model.speed_pair(
-            profile0,
-            profile1,
-            int(c0.priority),
-            int(c1.priority),
-            c0.busy,
-            c1.busy,
+            profile0, profile1, c0.priority, c1.priority, c0.busy, c1.busy
         )
 
     def st_mode(self) -> bool:

@@ -83,13 +83,18 @@ _REQUIRED_PRIVILEGE: Dict[HWPriority, PrivilegeLevel] = {
 DEFAULT_PRIORITY = HWPriority.MEDIUM
 
 
+#: Value -> member.  A lookup hashes exactly as ``HWPriority(value)``
+#: does (``4``, ``4.0`` and ``HWPriority.MEDIUM`` all find MEDIUM), at
+#: about a twentieth of the enum call's cost; every context switch pays
+#: one (``SMTContext.load``).
+PRIORITY_OF: Dict[int, HWPriority] = {int(p): p for p in HWPriority}
+
+
 def coerce_priority(value: int) -> HWPriority:
     """Validate and convert an integer to :class:`HWPriority`."""
-    if type(value) is HWPriority:
-        return value  # hot path: already coerced (context switches)
     try:
-        return HWPriority(value)
-    except ValueError as exc:
+        return PRIORITY_OF[value]
+    except (KeyError, TypeError) as exc:
         raise PriorityError(f"hardware priority {value!r} not in 0..7") from exc
 
 

@@ -12,7 +12,8 @@ along with every :class:`~repro.kernel.core_sched.Kernel` and checks,
   tasks on a logical CPU never exceeds the wall-clock time that CPU has
   existed (and per-task ``sum_exec_runtime`` never exceeds ``now``);
   at run end, each task's banked state times agree with its charged
-  occupancy and fit in the run;
+  occupancy and fit in the run, and its banked waiting time agrees
+  with the sleeps the oracle timed itself at every wakeup;
   and every delivered phase completion lands on the eager-reschedule
   ETA — ``phase_started_at + phase_remaining / phase_rate`` — within
   tolerance, which pins the lazy ETA-revalidation fast path (ride +
@@ -72,6 +73,8 @@ class KernelOracles:
         self._vruntime: Dict[int, float] = {}
         #: cpu -> last observed CFS min_vruntime.
         self._min_vruntime: Dict[int, float] = {}
+        #: pid -> closed sleeps, timed by the oracle at each wakeup.
+        self._waited: Dict[int, float] = {}
         self._last_event_time = 0.0
         self.checks = 0
         self.violations = 0
@@ -139,10 +142,21 @@ class KernelOracles:
                 f"reschedule ETA is {eta!r} (drift {abs(eta - now):.3e})"
             )
 
+    def on_wake(self, task: "Task", now: float) -> None:
+        """Fired by ``wake_up`` for a sleeping task, before it banks:
+        the sleep ending now is the oracle's own record of the task's
+        waiting time, independent of the wake site's banking."""
+        self._waited[task.pid] = self._waited.get(task.pid, 0.0) + (
+            now - task.state_since
+        )
+
     def on_run_end(self, end: float) -> None:
         """Final conservation audit when the kernel run loop returns.
         A transition that forgets to bank a task's state time or to
-        restamp ``state_since`` breaks one of the per-task checks."""
+        restamp ``state_since`` breaks one of the per-task checks: the
+        block and exit sites bank the running sum, the install site the
+        ready sum, and the wake site the waiting sum, which is checked
+        against the sleeps :meth:`on_wake` timed."""
         for cpu, busy in self.cpu_busy.items():
             if busy > end + _EPS:
                 self._fail(
@@ -161,6 +175,11 @@ class KernelOracles:
                     f"{task!r} banked {running:.9f}s running + {ready:.9f}s ready"
                     f" + {waiting:.9f}s waiting in a {end:.9f}s run"
                 )
+            waited = self._waited.get(task.pid, 0.0)
+            if task.state == TaskState.SLEEPING:
+                waited += end - task.state_since
+            if abs(waiting - waited) > _EPS:
+                self._fail(f"{task!r} banked {waiting:.9f}s waiting, slept {waited:.9f}s")
 
     # -- CFS -----------------------------------------------------------
     def on_vruntime(self, task: "Task") -> None:

@@ -99,7 +99,7 @@ def test_min_vruntime_monotonic(quiet_kernel):
     k = quiet_kernel
     k.spawn("a", compute_sleep_program(5, 0.01, 0.01), cpu=0, cpus_allowed=[0])
     k.spawn("b", compute_sleep_program(5, 0.01, 0.01), cpu=0, cpus_allowed=[0])
-    q = k.rqs[0].queue_for(k.fair)
+    q = k.rqs[0].class_queues["fair"]
     seen = []
 
     orig = k.fair.account
@@ -144,7 +144,7 @@ def test_cfs_queue_matches_a_sorted_model(ops):
     k = Kernel()
     fair = k.fair
     rq = k.rqs[0]
-    q = rq.queue_for(fair)
+    q = rq.class_queues["fair"]
     model = {}  # pid -> task
     for op, n, vruntime, nice in ops:
         if op == "ins":

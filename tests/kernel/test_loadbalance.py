@@ -105,3 +105,47 @@ def test_migratable_census_tracks_masks(quiet_kernel):
     k.run()
     assert k._migratable == 0
 
+
+
+def test_pinned_only_kernel_never_pulls(monkeypatch):
+    """SIESTA pins every rank and every noise daemon, so the migratable
+    census stays 0: neither an idle pull nor a periodic balance round
+    ever reaches the busiest-peer scan."""
+    from repro.experiments.siesta import run_one
+    from repro.kernel.loadbalance import LoadBalancer
+
+    pulls = []
+    real = LoadBalancer._pull
+
+    def counted(self, cpu, min_imbalance):
+        pulls.append(cpu)
+        return real(self, cpu, min_imbalance)
+
+    monkeypatch.setattr(LoadBalancer, "_pull", counted)
+    res = run_one("cfs", scf_steps=1, noise=True, keep_trace=False)
+    assert res.exec_time > 0
+    assert pulls == []
+
+
+def test_unpinned_task_is_still_idle_pulled(quiet_kernel, monkeypatch):
+    """A CPU going idle steals an unpinned task queued behind a busy
+    CPU's current task: the migratable guard lets the pull through."""
+    from repro.kernel.loadbalance import LoadBalancer
+
+    pulled = []
+    real = LoadBalancer.idle_pull
+
+    def recorded(self, cpu):
+        task = real(self, cpu)
+        pulled.append(task)
+        return task
+
+    monkeypatch.setattr(LoadBalancer, "idle_pull", recorded)
+    k = quiet_kernel
+    # cpu1 goes idle long before the first balance round (64 ms).
+    k.spawn("short", pure_compute_program(0.001), cpu=1, cpus_allowed=[1])
+    k.spawn("busy", pure_compute_program(0.5), cpu=0, cpus_allowed=[0])
+    free = k.spawn("free", pure_compute_program(0.5), cpu=0)
+    k.run()
+    assert k.migrations > 0
+    assert free in pulled

@@ -86,3 +86,22 @@ def test_context_speed_st_mode_when_sibling_idle(core):
 def test_set_priority_rejects_invalid(core):
     with pytest.raises(PriorityError):
         core.contexts[0].set_priority(9)
+
+
+@pytest.mark.parametrize("bad", [8, -1, "4"])
+def test_load_and_set_priority_reject_invalid(core, bad):
+    ctx = core.contexts[0]
+    with pytest.raises(PriorityError):
+        ctx.load("task", bad)
+    with pytest.raises(PriorityError):
+        ctx.set_priority(bad)
+
+
+def test_load_and_set_priority_store_the_member(core):
+    ctx = core.contexts[0]
+    for prio in HWPriority:
+        ctx.load("task", int(prio))
+        assert ctx.priority is prio
+        ctx.idle()
+        ctx.set_priority(int(prio))
+        assert ctx.priority is prio

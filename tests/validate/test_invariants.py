@@ -149,6 +149,7 @@ BANKING_SITES = {
     "block": ("_block_current", "sum_run_time"),
     "exit": ("_exit_task", "sum_run_time"),
     "run": ("_install", "sum_ready_time"),
+    "wake": ("wake_up", "sum_wait_time"),
 }
 
 
