@@ -8,9 +8,8 @@ MetBenchVar, where responsiveness matters.
 from repro.experiments.ablations import ablation_gl
 
 
-def test_ablation_gl_sweep(bench_once):
-    out = bench_once(
-        ablation_gl,
+def test_ablation_gl_sweep():
+    out = ablation_gl(
         weights=((1.0, 0.0), (0.5, 0.5), (0.1, 0.9)),
         iterations=18,
         k=6,

@@ -28,8 +28,8 @@ def _run_matrix():
     return out
 
 
-def test_hybrid_across_all_workloads(bench_once):
-    out = bench_once(_run_matrix)
+def test_hybrid_across_all_workloads():
+    out = _run_matrix()
     print()
     print(f"{'workload':<13}{'uniform':>10}{'adaptive':>10}{'hybrid':>10}")
     for wl, res in out.items():

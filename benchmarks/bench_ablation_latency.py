@@ -10,8 +10,8 @@ the scheduler policy" — so the middle bar must carry most of the gain.
 from repro.experiments.ablations import ablation_latency
 
 
-def test_ablation_latency_decomposition(bench_once):
-    out = bench_once(ablation_latency)
+def test_ablation_latency_decomposition():
+    out = ablation_latency()
     print()
     print(f"cfs baseline:        {out['cfs']:.2f}s")
     print(f"HPC policy only:     {out['hpc_policy_only']:.2f}s "

@@ -11,8 +11,8 @@ import pytest
 from repro.experiments.nice_ablation import run_ablation_nice
 
 
-def test_ablation_nice_vs_hardware_priorities(bench_once):
-    out = bench_once(run_ablation_nice, iterations=20)
+def test_ablation_nice_vs_hardware_priorities():
+    out = run_ablation_nice(iterations=20)
     base = out["cfs"]
     print()
     print(f"{'config':<22}{'exec':>9}{'gain':>8}")

@@ -39,8 +39,8 @@ def _run():
     return out
 
 
-def test_ablation_perfmodel(bench_once):
-    out = bench_once(_run)
+def test_ablation_perfmodel():
+    out = _run()
     print()
     print(f"{'model':<14}{'cfs':>9}{'uniform':>10}{'gain':>8}")
     gains = {}

@@ -14,9 +14,8 @@ wins in both directions:
 from repro.experiments.ablations import ablation_priority_range
 
 
-def test_ablation_priority_range(bench_once):
-    out = bench_once(
-        ablation_priority_range,
+def test_ablation_priority_range():
+    out = ablation_priority_range(
         ranges=((4, 5), (4, 6), (3, 6), (2, 6)),
         iterations=20,
     )

@@ -30,8 +30,8 @@ def _run():
     return out
 
 
-def test_ablation_thresholds(bench_once):
-    out = bench_once(_run)
+def test_ablation_thresholds():
+    out = _run()
     base = out["cfs"]
     print()
     print(f"{'HIGH_UTIL':>10}{'exec':>9}{'gain':>8}{'changes':>9}")

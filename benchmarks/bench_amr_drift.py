@@ -20,8 +20,8 @@ def _run():
     return out
 
 
-def test_amr_drift_tracking(bench_once):
-    out = bench_once(_run)
+def test_amr_drift_tracking():
+    out = _run()
     base = out["cfs"]
     print()
     print(f"{'scheduler':<10}{'exec':>9}{'gain':>8}{'changes':>9}")

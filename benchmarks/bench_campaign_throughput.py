@@ -42,7 +42,7 @@ def _executor(tmp_path, tag, jobs, cache_dir=None):
     )
 
 
-def test_campaign_parallel_speedup_and_warm_cache(bench_once, tmp_path):
+def test_campaign_parallel_speedup_and_warm_cache(tmp_path):
     assert len(MATRIX.runs) == 8
 
     t0 = time.perf_counter()
@@ -52,10 +52,9 @@ def test_campaign_parallel_speedup_and_warm_cache(bench_once, tmp_path):
 
     shared_cache = tmp_path / "parallel" / "cache"
     t0 = time.perf_counter()
-    parallel = bench_once(
-        _executor(tmp_path, "parallel", jobs=4, cache_dir=shared_cache).run,
-        MATRIX,
-    )
+    parallel = _executor(
+        tmp_path, "parallel", jobs=4, cache_dir=shared_cache
+    ).run(MATRIX)
     t_parallel = time.perf_counter() - t0
     assert len(parallel.ok) == 8
 

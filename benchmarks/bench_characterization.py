@@ -9,8 +9,8 @@ measured speeds must equal the calibrated profile table.
 from repro.experiments.characterization import run_characterization
 
 
-def test_characterization_sweep(bench_once):
-    out = bench_once(run_characterization)
+def test_characterization_sweep():
+    out = run_characterization()
     print()
     print(out["rendered"])
     print(f"max decode-share error: {out['max_share_error']:.2e}")

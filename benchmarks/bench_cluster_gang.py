@@ -21,8 +21,8 @@ def _run_matrix():
     }
 
 
-def test_cluster_gang_scheduling(bench_once):
-    out = bench_once(_run_matrix)
+def test_cluster_gang_scheduling():
+    out = _run_matrix()
     print()
     print(f"{'placement':<10}{'HPCSched':>10}{'exec':>10}{'node loads':>22}")
     for (strategy, hpc), res in out.items():

@@ -11,8 +11,8 @@ import pytest
 from repro.experiments.extrinsic import run_extrinsic
 
 
-def test_extrinsic_noise_shielding(bench_once):
-    out = bench_once(run_extrinsic, iterations=20)
+def test_extrinsic_noise_shielding():
+    out = run_extrinsic(iterations=20)
     print()
     base = out["cfs"]
     print(f"{'scheduler':<10}{'exec':>9}{'gain':>8}  %comp per rank")

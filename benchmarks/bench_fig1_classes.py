@@ -3,8 +3,8 @@
 from repro.experiments.figures import figure1
 
 
-def test_fig1_scheduling_classes(bench_once):
-    out = bench_once(figure1)
+def test_fig1_scheduling_classes():
+    out = figure1()
     print()
     print(out["standard"])
     print(out["hpcsched"])

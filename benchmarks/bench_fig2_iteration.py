@@ -4,8 +4,8 @@ from repro.experiments.figures import figure2
 from repro.trace.records import State
 
 
-def test_fig2_iteration_trace(bench_once):
-    out = bench_once(figure2, iterations=4)
+def test_fig2_iteration_trace():
+    out = figure2(iterations=4)
     print()
     print(out["gantt"])
     kinds = [k for k, _, _ in out["spans"]]

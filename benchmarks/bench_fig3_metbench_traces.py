@@ -18,8 +18,8 @@ def _density(gantt: str, row_prefix: str, glyph: str) -> float:
     raise AssertionError(f"row {row_prefix!r} not found")
 
 
-def test_fig3_metbench_traces(bench_once):
-    out = bench_once(figure3, iterations=12)
+def test_fig3_metbench_traces():
+    out = figure3(iterations=12)
     for sched, entry in out.items():
         print(f"\n== Fig 3 {sched} (exec {entry['exec_time']:.2f}s) ==")
         print(entry["gantt"])

@@ -10,8 +10,8 @@ from repro.experiments.figures import figure4
 from repro.trace.records import State
 
 
-def test_fig4_metbenchvar_traces(bench_once):
-    out = bench_once(figure4, iterations=45, k=15)
+def test_fig4_metbenchvar_traces():
+    out = figure4(iterations=45, k=15)
     for sched, entry in out.items():
         print(f"\n== Fig 4 {sched} (exec {entry['exec_time']:.2f}s) ==")
         print(entry["gantt"])

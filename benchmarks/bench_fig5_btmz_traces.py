@@ -11,8 +11,8 @@ def _density(gantt: str, row_prefix: str, glyph: str) -> float:
     raise AssertionError(row_prefix)
 
 
-def test_fig5_btmz_traces(bench_once):
-    out = bench_once(figure5, iterations=40)
+def test_fig5_btmz_traces():
+    out = figure5(iterations=40)
     for sched, entry in out.items():
         print(f"\n== Fig 5 {sched} (exec {entry['exec_time']:.2f}s) ==")
         print(entry["gantt"])

@@ -16,8 +16,8 @@ def _density(gantt: str, row_prefix: str, glyph: str) -> float:
     raise AssertionError(row_prefix)
 
 
-def test_fig6_siesta_traces(bench_once):
-    out = bench_once(figure6, scf_steps=4)
+def test_fig6_siesta_traces():
+    out = figure6(scf_steps=4)
     for sched, entry in out.items():
         print(f"\n== Fig 6 {sched} (exec {entry['exec_time']:.2f}s) ==")
         print(entry["gantt"])

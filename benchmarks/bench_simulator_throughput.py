@@ -1,14 +1,12 @@
-"""Simulator performance: wall cost of the simulation itself.
+"""Simulator event storms: the engine delivers exactly what it is given.
 
-Not a paper artifact — a guard against performance regressions in the
-engine.  Measures (a) raw event throughput through a single
-self-rescheduling chain, (b) throughput with a deep heap (512 staggered
-chains, the shape of a real kernel's event queue), and (c) the full
-MetBench experiment, asserting the NOHZ/fluid-rate design keeps the
-event count per simulated second low.
+Not a paper artifact.  Runs (a) a single self-rescheduling chain, (b) a
+deep heap (512 staggered chains, the shape of a real kernel's event
+queue), and (c) the full MetBench experiment, asserting the delivered
+event counts and the simulated run length.
 
-End-to-end timings of what users run (reports, campaigns, clusters)
-live in ``perfbench/``; these storms time the bare engine.
+Timings of what users run (reports, campaigns, clusters) live in
+``perfbench/``, the one timing harness.
 """
 
 from repro.experiments.common import run_experiment
@@ -60,27 +58,19 @@ def event_storm_deep(n: int = STORM_EVENTS, chains: int = STORM_CHAINS) -> int:
     return sim.events_processed
 
 
-def test_event_throughput(benchmark):
-    processed = benchmark.pedantic(
-        event_storm_chain, rounds=1, iterations=1
-    )
+def test_event_throughput():
+    processed = event_storm_chain()
     assert processed == 200_000
 
 
-def test_event_throughput_deep_heap(benchmark):
-    processed = benchmark.pedantic(
-        event_storm_deep, rounds=1, iterations=1
-    )
+def test_event_throughput_deep_heap():
+    processed = event_storm_deep()
     # 512 chains x (200_000 // 512) hops each
     assert processed == 512 * (200_000 // 512)
 
 
-def test_metbench_simulation_cost(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_experiment(MetBench(), "uniform", keep_trace=False),
-        rounds=1,
-        iterations=1,
-    )
+def test_metbench_simulation_cost():
+    result = run_experiment(MetBench(), "uniform", keep_trace=False)
     # 73 simulated seconds; the event-driven design must stay well under
     # 100k events (vs ~290k 1ms ticks a full-tick kernel would burn)
     assert result.exec_time > 70.0

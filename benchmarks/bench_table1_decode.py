@@ -7,8 +7,8 @@ these are the only experiments expected to match the paper bit-for-bit.
 from repro.experiments.table1 import run_table1
 
 
-def test_table1_decode(bench_once):
-    out = bench_once(run_table1)
+def test_table1_decode():
+    out = run_table1()
     print()
     print(out["rendered"])
     assert out["table1_exact"], "Table I mismatch"

@@ -15,8 +15,8 @@ def _run():
     return run_table3(keep_trace=False)
 
 
-def test_table3_metbench(bench_once):
-    results = bench_once(_run)
+def test_table3_metbench():
+    results = _run()
     print()
     print(format_characterization_table(list(results.values()), "Table III (MetBench)"))
     print()

@@ -15,8 +15,8 @@ def _run():
     return run_table4(keep_trace=False)
 
 
-def test_table4_metbenchvar(bench_once):
-    results = bench_once(_run)
+def test_table4_metbenchvar():
+    results = _run()
     print()
     print(
         format_characterization_table(

@@ -15,8 +15,8 @@ def _run():
     return run_table5(keep_trace=False)
 
 
-def test_table5_btmz(bench_once):
-    results = bench_once(_run)
+def test_table5_btmz():
+    results = _run()
     print()
     print(format_characterization_table(list(results.values()), "Table V (BT-MZ)"))
     print()

@@ -16,8 +16,8 @@ def _run():
     return run_table6(keep_trace=False)
 
 
-def test_table6_siesta(bench_once):
-    results = bench_once(_run)
+def test_table6_siesta():
+    results = _run()
     print()
     print(format_characterization_table(list(results.values()), "Table VI (SIESTA)"))
     print()

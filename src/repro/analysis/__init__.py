@@ -1,5 +1,5 @@
-"""Analysis utilities: metrics, table formatting, model calibration,
-convergence-time extraction."""
+"""Analysis utilities: metrics, table formatting, convergence-time
+extraction."""
 
 from repro.analysis.metrics import (
     speedup,

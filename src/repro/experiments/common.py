@@ -177,9 +177,11 @@ def run_experiment(
     lat_means: List[float] = []
     for name in measured:
         task = launched.tasks[name]
-        acc = kernel.latency_stats.for_task(task.pid)
-        lat_means.append(acc.mean)
-        result.max_wakeup_latency = max(result.max_wakeup_latency, acc.max)
+        n = task.wakeups
+        lat_means.append(task.sum_wakeup_latency / n if n else 0.0)
+        result.max_wakeup_latency = max(
+            result.max_wakeup_latency, task.max_wakeup_latency
+        )
         result.priority_history[name] = list(task.hw_priority_history)
     result.mean_wakeup_latency = (
         sum(lat_means) / len(lat_means) if lat_means else 0.0

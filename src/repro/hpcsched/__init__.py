@@ -20,6 +20,9 @@ Three mostly-independent components:
   paper §IV-C).
 
 Helper :func:`attach_hpcsched` wires everything onto a simulated kernel.
+The paper's per-domain HPC task balancing (§IV-A) is not modelled:
+every experiment pins its ranks, so an equalization pass could never
+move one.
 """
 
 from repro.hpcsched.bands import (
@@ -42,7 +45,6 @@ from repro.hpcsched.mechanism import (
     POWER5Mechanism,
     NullMechanism,
 )
-from repro.hpcsched.balance import spread_hpc_tasks, hpc_task_distribution
 
 __all__ = [
     "BandConfig",
@@ -61,6 +63,4 @@ __all__ = [
     "PriorityMechanism",
     "POWER5Mechanism",
     "NullMechanism",
-    "spread_hpc_tasks",
-    "hpc_task_distribution",
 ]

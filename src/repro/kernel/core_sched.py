@@ -30,7 +30,6 @@ from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from repro.kernel.fair import FairClass
 from repro.kernel.idlecls import IdleClass
-from repro.kernel.latency import LatencyStats
 from repro.kernel.loadbalance import LoadBalancer
 from repro.kernel.policies import SchedPolicy, TaskState
 from repro.kernel.rt import RTClass
@@ -131,7 +130,6 @@ class Kernel:
         self.machine = machine or Machine()
         self.tunables = tunables or Tunables()
         self.trace = trace
-        self.latency_stats = LatencyStats()
         #: Fast-forward engine flag (see repro.simcore.fastforward):
         #: provably-inert balance-timer fires are elided analytically
         #: instead of executed.  ``False`` keeps the stock always-armed
@@ -737,7 +735,11 @@ class Kernel:
         task.sum_ready_time += now - task.state_since
         task.state_since = now
         if task.wakeup_pending and task.last_enqueue_time is not None:
-            self.latency_stats.record(task, now - task.last_enqueue_time)
+            latency = now - task.last_enqueue_time
+            task.wakeups += 1
+            task.sum_wakeup_latency += latency
+            if latency > task.max_wakeup_latency:
+                task.max_wakeup_latency = latency
             task.wakeup_pending = False
         ctx.load(task, task.hw_priority, busy=True)
         # The freshly installed context is excluded from the rebase: its

@@ -70,11 +70,6 @@ class SchedClass(ABC):
         hint).  Default: tick only when someone is waiting."""
         return self.nr_queued(rq) > 0
 
-    def yield_task(self, rq: "RunQueue", task: "Task") -> None:
-        """``sched_yield`` semantics; default round-trips the queue."""
-        self.dequeue_task(rq, task)
-        self.enqueue_task(rq, task)
-
     # -- migration support --------------------------------------------
     def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
         """Queued tasks eligible for migration off this CPU, in order of

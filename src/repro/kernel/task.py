@@ -39,7 +39,8 @@ class Task:
         "phase_eta", "_syscall_result", "class_data", "on_exit",
         "sched_class", "is_idle_task", "_rt_requeue_head",
         "sum_run_time", "sum_ready_time", "sum_wait_time", "state_since",
-        "hw_priority_history",
+        "hw_priority_history", "wakeups", "sum_wakeup_latency",
+        "max_wakeup_latency",
     )
 
     def __init__(
@@ -108,6 +109,12 @@ class Task:
         self.last_enqueue_time: Optional[float] = None
         #: Set between a wakeup and the next install (latency tracking).
         self.wakeup_pending = False
+        #: Wakeup (scheduler) latency, wakeup to install, banked by the
+        #: kernel at each such install: the count, sum and max that
+        #: paper §V-D's SIESTA gain is decomposed into.
+        self.wakeups = 0
+        self.sum_wakeup_latency = 0.0
+        self.max_wakeup_latency = 0.0
         #: Excluded from the live-task stop condition when True.
         self.daemon = False
         #: sched_yield marker consumed by RT put_prev_task.

@@ -275,15 +275,7 @@ class DecodeShareModel(PerformanceModel):
 
     Single-thread mode uses the profile's ``st_speedup`` directly, since
     an idle sibling frees more than decode slots (queues, cache, ...).
-
-    An alternative :class:`~repro.power5.variants.PriorityArchitecture`
-    (POWER6, CELL-style 3-level) may be supplied to study the paper's
-    "other processors provide a similar mechanism" claim (§I).
     """
-
-    def __init__(self, architecture=None) -> None:
-        #: None = the native POWER5 Table I arithmetic.
-        self.architecture = architecture
 
     def speed(
         self,
@@ -294,14 +286,9 @@ class DecodeShareModel(PerformanceModel):
     ) -> float:
         if not sibling_busy:
             return self.st_speed(profile)
-        if self.architecture is not None:
-            share_self, _ = self.architecture.shares(
-                own_priority, sibling_priority
-            )
-        else:
-            # Module-attribute call: observes the validated/unvalidated
-            # implementation swap done by decode.enable_validation().
-            share_self, _ = decode.decode_shares(own_priority, sibling_priority)
+        # Module-attribute call: observes the validated/unvalidated
+        # implementation swap done by decode.enable_validation().
+        share_self, _ = decode.decode_shares(own_priority, sibling_priority)
         if share_self <= 0.0:
             return 0.0
         if share_self >= 1.0:

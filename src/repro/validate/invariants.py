@@ -13,7 +13,8 @@ along with every :class:`~repro.kernel.core_sched.Kernel` and checks,
   existed (and per-task ``sum_exec_runtime`` never exceeds ``now``);
   at run end, each task's banked state times agree with its charged
   occupancy and fit in the run, and its banked waiting time agrees
-  with the sleeps the oracle timed itself at every wakeup;
+  with the sleeps the oracle timed itself at every wakeup, and the
+  run queues agree with the tasks (:func:`consistency_check`);
   and every delivered phase completion lands on the eager-reschedule
   ETA — ``phase_started_at + phase_remaining / phase_rate`` — within
   tolerance, which pins the lazy ETA-revalidation fast path (ride +
@@ -36,7 +37,7 @@ heavyweight bookkeeping exists only when validation is enabled.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.kernel.policies import TaskState
 
@@ -180,6 +181,9 @@ class KernelOracles:
                 waited += end - task.state_since
             if abs(waiting - waited) > _EPS:
                 self._fail(f"{task!r} banked {waiting:.9f}s waiting, slept {waited:.9f}s")
+        problems = consistency_check(self.kernel)
+        if problems:
+            self._fail("run-end kernel state inconsistent: " + "; ".join(problems))
 
     # -- CFS -----------------------------------------------------------
     def on_vruntime(self, task: "Task") -> None:
@@ -238,6 +242,35 @@ class KernelOracles:
                     f"detector raised {task!r} to {priority} (from {current}) "
                     "while OBSERVING — only downward corrections are legal"
                 )
+
+
+def consistency_check(kernel: "Kernel") -> List[str]:
+    """Cross-check the run queues against the tasks; returns the
+    violations found (empty = healthy).  Safe at any instant between
+    events: each CPU's current task is RUNNING there, each queue's
+    ``nr_queued`` is the sum of its classes' counts, and every READY or
+    RUNNING task sits on a CPU."""
+    problems: List[str] = []
+    for cpu in kernel.machine.cpu_ids:
+        rq = kernel.rqs[cpu]
+        cur = rq.current
+        if cur is not None and not cur.is_idle_task:
+            if cur.state != TaskState.RUNNING:
+                problems.append(f"cpu{cpu}: current {cur.name} not RUNNING")
+            if cur.cpu != cpu:
+                problems.append(f"cpu{cpu}: current {cur.name} thinks cpu={cur.cpu}")
+        queued = sum(cls.nr_queued(rq) for cls in kernel.classes)
+        if queued != rq.nr_queued:
+            problems.append(
+                f"cpu{cpu}: nr_queued {rq.nr_queued} != class sum {queued}"
+            )
+    for t in kernel.tasks.values():
+        if t.state == TaskState.READY and t.cpu is None:
+            problems.append(f"task {t.name}: READY without a cpu")
+        if t.state == TaskState.RUNNING:
+            if t.cpu is None or kernel.rqs[t.cpu].current is not t:
+                problems.append(f"task {t.name}: RUNNING but not current")
+    return problems
 
 
 def maybe_install(kernel: "Kernel") -> Optional[KernelOracles]:

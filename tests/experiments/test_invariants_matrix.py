@@ -5,8 +5,7 @@ time, and its measurements are internally coherent."""
 import pytest
 
 from repro.experiments.common import run_experiment
-from repro.kernel.cpuacct import class_cpu_time
-from repro.kernel.procfs import consistency_check
+from repro.validate.invariants import consistency_check
 from repro.workloads.amr import AMRDrift
 from repro.workloads.btmz import BTMZ
 from repro.workloads.metbench import MetBench
@@ -39,7 +38,7 @@ def test_run_invariants(wl_name, factory, scheduler):
         assert tr.running + tr.ready + tr.waiting <= res.exec_time * 1.001
 
     # 3. occupancy never exceeds machine capacity
-    total_cpu = sum(class_cpu_time(kernel).values())
+    total_cpu = sum(t.sum_exec_runtime for t in kernel.tasks.values())
     assert total_cpu <= res.exec_time * kernel.machine.n_cpus * 1.001
 
     # 4. hardware priorities within the HPCSched window (dynamic runs)

@@ -319,9 +319,8 @@ def test_wakeup_latency_recorded(quiet_kernel):
     k = quiet_kernel
     t = k.spawn("t", compute_sleep_program(3, 0.01, pause=0.02), cpu=0)
     k.run()
-    acc = k.latency_stats.for_task(t.pid)
-    assert acc.count >= 3
-    assert acc.mean >= 0.0
+    assert t.wakeups >= 3
+    assert t.sum_wakeup_latency / t.wakeups >= 0.0
 
 
 def test_run_until_horizon(quiet_kernel):

@@ -78,9 +78,8 @@ def test_wakeup_preemption_when_credit_exceeds_granularity(quiet_kernel):
     blink = k.spawn("blink", blinker(), cpu=0, cpus_allowed=[0], daemon=True)
     k.run()
     # the blinker woke several times and each time preempted the hog
-    acc = k.latency_stats.for_task(blink.pid)
-    assert acc.count >= 5
-    assert acc.mean < 0.002
+    assert blink.wakeups >= 5
+    assert blink.sum_wakeup_latency / blink.wakeups < 0.002
 
 
 def test_tick_preemption_within_slice_bounds(quiet_kernel):

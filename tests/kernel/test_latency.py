@@ -1,37 +1,35 @@
-"""Wakeup-latency accounting tests."""
+"""Wakeup-latency accounting: each task banks its own."""
 
-import pytest
-
-from repro.kernel.latency import LatencyAccumulator, LatencyStats
-from repro.kernel.task import Task
+from repro.kernel import Compute, SchedPolicy, Sleep
+from tests.conftest import pure_compute_program
 
 
-def test_accumulator_streaming():
-    acc = LatencyAccumulator()
-    assert acc.mean == 0.0
-    for v in (1.0, 2.0, 3.0):
-        acc.add(v)
-    assert acc.count == 3
-    assert acc.total == 6.0
-    assert acc.mean == 2.0
-    assert acc.max == 3.0
+def test_task_banks_count_sum_and_max_of_its_wakeups(quiet_kernel):
+    """The first wakeup waits out an RT burst, the second finds the CPU
+    idle: two wakeups, and the sum is the first (the max) plus zero."""
+    k = quiet_kernel
 
+    def napper():
+        yield Sleep(0.01)  # wakes mid-RT-burst
+        yield Compute(0.001)
+        yield Sleep(0.5)  # wakes on an idle CPU
+        yield Compute(0.001)
 
-def test_stats_per_task_and_overall():
-    stats = LatencyStats()
-    t1 = Task(pid=1, name="a")
-    t2 = Task(pid=2, name="b")
-    stats.record(t1, 0.001)
-    stats.record(t1, 0.003)
-    stats.record(t2, 0.010)
-    assert stats.for_task(1).count == 2
-    assert stats.for_task(1).max == 0.003
-    assert stats.for_task(2).mean == 0.010
-    assert stats.overall.count == 3
-    assert stats.overall.max == 0.010
-
-
-def test_unknown_task_returns_empty():
-    stats = LatencyStats()
-    acc = stats.for_task(42)
-    assert acc.count == 0 and acc.mean == 0.0
+    n = k.spawn("n", napper(), cpu=0, cpus_allowed=[0])
+    k.sim.after(
+        0.005,
+        lambda: k.start_task(
+            k.create_task(
+                "rt",
+                pure_compute_program(0.1),
+                policy=SchedPolicy.FIFO,
+                rt_priority=10,
+                cpus_allowed=[0],
+            ),
+            cpu=0,
+        ),
+    )
+    k.run()
+    assert n.wakeups == 2
+    assert n.max_wakeup_latency > 0.03
+    assert n.sum_wakeup_latency == n.max_wakeup_latency

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.common import build_kernel
-from repro.kernel.procfs import consistency_check
 from repro.kernel.syscalls import Compute, Sleep
+from repro.validate.invariants import consistency_check
 
 
 def compute_sleep(works):

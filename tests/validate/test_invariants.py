@@ -10,6 +10,7 @@ from repro.power5.perfmodel import TableDrivenModel
 from repro.validate.invariants import (
     InvariantViolation,
     KernelOracles,
+    consistency_check,
     install,
     maybe_install,
     validation_enabled,
@@ -142,6 +143,24 @@ def test_on_run_end_audits_state_times_against_the_run(oracles):
     task.sum_wait_time = 0.7
     with pytest.raises(InvariantViolation, match="waiting in a 1.0"):
         oracles.on_run_end(end=1.0)
+
+
+def test_on_run_end_audits_run_queue_consistency(oracles):
+    oracles.kernel.rqs[1].nr_queued += 1
+    with pytest.raises(InvariantViolation, match="cpu1: nr_queued 1 != class sum 0"):
+        oracles.on_run_end(end=0.0)
+
+
+def test_consistency_check_detects_corruption():
+    from repro.kernel.policies import TaskState
+    from tests.conftest import pure_compute_program
+
+    kernel = make_kernel()
+    t = kernel.spawn("w", pure_compute_program(0.5), cpu=0)
+    kernel.sim.run(until=0.01)
+    assert consistency_check(kernel) == []
+    t.state = TaskState.SLEEPING  # corrupt: current task marked sleeping
+    assert "cpu0: current w not RUNNING" in consistency_check(kernel)
 
 
 #: One banking site per kind of transition it closes.
