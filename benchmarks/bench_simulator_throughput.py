@@ -70,7 +70,9 @@ def test_event_throughput_deep_heap():
 
 
 def test_metbench_simulation_cost():
-    result = run_experiment(MetBench(), "uniform", keep_trace=False)
+    # Kept, so the kernel's delivered count can be read.
+    result = run_experiment(MetBench(), "uniform", keep_trace=True)
     # 73 simulated seconds; the event-driven design must stay well under
     # 100k events (vs ~290k 1ms ticks a full-tick kernel would burn)
     assert result.exec_time > 70.0
+    assert result.kernel.sim.events_processed == 366

@@ -24,7 +24,6 @@ from repro.mpi.runtime import MPIRuntime
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import CPU_BOUND, PerfProfile, TableDrivenModel
 from repro.simcore.engine import Simulator
-from repro.trace.collector import TraceCollector
 
 
 @dataclass(frozen=True)
@@ -64,19 +63,15 @@ class ClusterNode:
         sim: Simulator,
         heuristic_factory: Optional[Callable[[], Heuristic]],
         topology: MachineTopology,
-        collect_traces: bool = False,
-        collect_pmu: bool = False,
     ) -> None:
         self.node_id = node_id
         machine = Machine(topology, TableDrivenModel())
-        # Tracing and PMU attribution are opt-in at cluster scale:
-        # recording every context switch / wake / block (and advancing
-        # per-core counters on every rate change) across hundreds of
-        # CPUs costs real wall time, and nothing consumes the per-node
-        # streams or counters by default.
-        trace = TraceCollector() if collect_traces else None
-        self.kernel = Kernel(machine=machine, sim=sim, trace=trace)
-        self.kernel.pmu_enabled = collect_pmu
+        # No trace and no PMU attribution: recording every context
+        # switch (and advancing per-core counters on every rate change)
+        # across hundreds of CPUs costs real wall time, and a cluster
+        # run reports only its rank exits.
+        self.kernel = Kernel(machine=machine, sim=sim)
+        self.kernel.pmu_enabled = False
         self.hpc_class = None
         if heuristic_factory is not None:
             self.hpc_class = attach_hpcsched(self.kernel, heuristic_factory())
@@ -91,21 +86,12 @@ class Cluster:
         heuristic_factory: Optional[Callable[[], Heuristic]] = UniformHeuristic,
         topology: Optional[MachineTopology] = None,
         interconnect: Optional[InterconnectModel] = None,
-        collect_traces: bool = False,
-        collect_pmu: bool = False,
     ) -> None:
         self.sim = Simulator()
         self.topology = topology or MachineTopology()
         self.interconnect = interconnect or InterconnectModel()
         self.nodes: List[ClusterNode] = [
-            ClusterNode(
-                i,
-                self.sim,
-                heuristic_factory,
-                self.topology,
-                collect_traces,
-                collect_pmu,
-            )
+            ClusterNode(i, self.sim, heuristic_factory, self.topology)
             for i in range(n_nodes)
         ]
         self._rank_node: Dict[int, int] = {}
@@ -197,9 +183,8 @@ class Cluster:
         (tasks, programs, per-CPU closures, runqueues).  Reference
         counting still frees everything the run drops.
 
-        Like :meth:`Kernel.run`, it flushes every enabled node PMU to
-        the end time, so the counters cover the whole run, and runs each
-        node's end-of-run oracle audit under ``REPRO_VALIDATE``.
+        Like :meth:`Kernel.run`, it runs each node's end-of-run oracle
+        audit under ``REPRO_VALIDATE``.
         """
         was_enabled = gc.isenabled()
         gc.disable()
@@ -212,8 +197,6 @@ class Cluster:
             if was_enabled:
                 gc.enable()
         for node in self.nodes:
-            if node.kernel.pmu_enabled:
-                node.kernel.pmu.finalize(end)
             if node.kernel.oracles is not None:
                 node.kernel.oracles.on_run_end(end)
         return end

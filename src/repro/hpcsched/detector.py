@@ -20,9 +20,9 @@ in the next iteration's statistics and is corrected then (paper §IV-B).
 
 All sampling is wakeup-driven: the detector observes iterations from
 inside the MPI-wait wake events themselves and owns no periodic
-sampling timer.  The fast-forward engine therefore needs no chain
-family here — there is no detector event to elide, and the tick/balance
-fires it does elide are no-ops that never feed these statistics.
+sampling timer, so there is no detector event to skip; the balance
+fires the kernel does skip (DESIGN §12) are no-ops that never feed
+these statistics.
 
 **Stable state.**  "If the heuristic is able to balance the
 application, i.e., to find a stable state, the Load Imbalance Detector

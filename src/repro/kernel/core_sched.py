@@ -30,7 +30,7 @@ from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from repro.kernel.fair import FairClass
 from repro.kernel.idlecls import IdleClass
-from repro.kernel.loadbalance import LoadBalancer
+from repro.kernel.loadbalance import EVPRIO_BALANCE, LoadBalancer
 from repro.kernel.policies import SchedPolicy, TaskState
 from repro.kernel.rt import RTClass
 from repro.kernel.runqueue import RunQueue
@@ -46,7 +46,6 @@ from repro.power5.priorities import (
     can_set_priority,
 )
 from repro.simcore.engine import SimulationError, Simulator
-from repro.simcore.fastforward import ChainFamily
 
 # Event priorities: lower fires first at equal timestamps.  Phase
 # completions and wakeups run before deferred reschedules so that a
@@ -55,7 +54,7 @@ EVPRIO_PHASE = 0
 EVPRIO_WAKEUP = 1
 EVPRIO_TICK = 2
 EVPRIO_RESCHED = 5
-EVPRIO_BALANCE = 6
+# EVPRIO_BALANCE (6, the last) is imported above from the balance timers.
 
 #: Work remainders below this are treated as completed (float dust).
 _WORK_EPSILON = 1e-12
@@ -130,13 +129,10 @@ class Kernel:
         self.machine = machine or Machine()
         self.tunables = tunables or Tunables()
         self.trace = trace
-        #: Fast-forward engine flag (see repro.simcore.fastforward):
-        #: provably-inert balance-timer fires are elided analytically
-        #: instead of executed.  ``False`` keeps the stock always-armed
-        #: chains (the non-eliding reference).
+        #: Balance fires that can move nothing are skipped (the timers
+        #: park, see repro.kernel.loadbalance).  ``False`` keeps every
+        #: timer armed: the non-eliding reference.
         self.fastforward = fastforward
-        #: Parked balance timers (None until the balance chains start).
-        self._ff_balance: Optional[ChainFamily] = None
 
         #: Scheduling classes in priority order, filled below and by
         #: register_class; each run queue builds a class's queue from it
@@ -155,12 +151,12 @@ class Kernel:
             cpu: self.machine.context(cpu) for cpu in self.machine.cpu_ids
         }
         self._lbl_tick = {c: f"tick/{c}" for c in self.machine.cpu_ids}
-        self._lbl_balance = {c: f"balance/{c}" for c in self.machine.cpu_ids}
         #: The simulator's reschedule batch, shared by all its kernels.
         batch = getattr(self.sim, "_resched_batch", None)
         if batch is None:
             batch = self.sim._resched_batch = _ReschedBatch(self.sim)
         self._resched_batch = batch
+        self.balancer = LoadBalancer(self)
         self.tunables.subscribe(self._refresh_tunable_cache)
 
         #: Simulated performance counters (decode shares, ST time, ...),
@@ -180,7 +176,6 @@ class Kernel:
         self.idle_class = IdleClass(self)
         self.classes.extend((self.rt, self.fair, self.idle_class))
 
-        self.balancer = LoadBalancer(self)
         #: Class -> rank in the priority order, rebuilt on
         #: register_class; _check_preempt is too hot for list.index.
         self._class_rank: Dict[int, int] = {
@@ -212,13 +207,12 @@ class Kernel:
         #: Started-and-not-exited tasks whose CPU mask permits more than
         #: one CPU.  While zero, no load-balance pull can ever move a
         #: task (``_steal`` requires ``task.allows_cpu(dst)`` for a
-        #: second CPU), so periodic balance rounds are provably inert;
-        #: the fast-forward balance witness parks them on that fact and
-        #: unparks on the 0 → 1 edge.
+        #: second CPU), so periodic balance rounds are provably inert:
+        #: the balance timers park on that census, and the 0 → 1 edge
+        #: unparks them.
         self._migratable = 0
         self.context_switches = 0
         self.migrations = 0
-        self._balance_started = False
         #: Cores whose SMT state changed during the event being
         #: processed, keyed by core id → (core, skip_ctx); drained once
         #: per delivered event via ``Simulator.defer``.
@@ -231,20 +225,13 @@ class Kernel:
     # ------------------------------------------------------------------
     def _refresh_tunable_cache(self) -> None:
         """Re-read the hot tunables consumed on every context switch,
-        tick and balance round (invoked via ``Tunables.subscribe``).
-
-        The balance chain family re-times here: subscribers run
-        synchronously inside ``Tunables.set``, so a parked chain's
-        anchor is walked forward with the *old* interval exactly up to
-        the change instant before the new interval is adopted — the
-        same old/new split the serial at-fire-time reads produce."""
+        tick and balance round (invoked via ``Tunables.subscribe``,
+        inside ``Tunables.set``, so the balance timers retime at the
+        change instant)."""
         get = self.tunables.get
         self._cs_cost = get("kernel/context_switch_cost")
         self._tick_period = get("kernel/tick_period")
-        self._lb_interval = get("kernel/loadbalance_interval")
-        fam = self._ff_balance
-        if fam is not None and fam.interval != self._lb_interval:
-            fam.retime(self._lb_interval)
+        self.balancer.retime(get("kernel/loadbalance_interval"))
 
     def _boot(self) -> None:
         """Create and install the per-CPU idle tasks."""
@@ -336,26 +323,19 @@ class Kernel:
         if not task.daemon:
             self.live_tasks += 1
             if self.live_tasks == 1:
-                fam = self._ff_balance
-                if fam is not None and fam.dead_at is not None:
-                    # Revival: kill exactly the parked chains whose next
-                    # serial fire fell in the dead window (where the
-                    # serial chain stopped re-arming).
-                    fam.reap(self.sim.now)
+                self.balancer.revive()
             if self.on_live_change is not None:
                 self.on_live_change(1)
         mask = task.cpus_allowed
         if mask is None or len(mask) > 1:
             self._migratable += 1
             if self._migratable == 1:
-                fam = self._ff_balance
-                if fam is not None and fam.parked and self._queued_total:
-                    fam.unpark_ready()
+                self.balancer.unpark()
         if self.trace is not None:
             self._trace(task, "wake", cpu=cpu)
         self._enqueue(task, cpu, wakeup=False)
         self._check_preempt(cpu, task)
-        self._ensure_periodic_balance()
+        self.balancer.start()
 
     def spawn(self, name: str, program: Generator, **kwargs) -> Task:
         """create_task + start_task in one call."""
@@ -380,12 +360,7 @@ class Kernel:
         if not task.daemon:
             self.live_tasks -= 1
             if self.live_tasks == 0:
-                fam = self._ff_balance
-                if fam is not None and fam.parked:
-                    # Parked chains cannot observe the death at a fire;
-                    # record the window so a revival can reap exactly
-                    # the chains whose serial twin would have died.
-                    fam.mark_dead(self.sim.now)
+                self.balancer.mark_dead()
             if self.on_live_change is not None:
                 self.on_live_change(-1)
         mask = task.cpus_allowed
@@ -472,10 +447,8 @@ class Kernel:
         task.sched_class.enqueue_task(rq, task)
         rq.nr_queued += 1
         self._queued_total += 1
-        if self._queued_total == 1:
-            fam = self._ff_balance
-            if fam is not None and fam.parked:
-                fam.unpark_ready()
+        if self._queued_total == 1 and self._migratable:
+            self.balancer.unpark()
         task.last_enqueue_time = self.sim.now
         self._update_tick(cpu)
 
@@ -540,9 +513,7 @@ class Kernel:
             if now and not was:
                 self._migratable += 1
                 if self._migratable == 1:
-                    fam = self._ff_balance
-                    if fam is not None and fam.parked and self._queued_total:
-                        fam.unpark_ready()
+                    self.balancer.unpark()
             elif was and not now:
                 self._migratable -= 1
         if task.cpus_allowed is None:
@@ -673,7 +644,7 @@ class Kernel:
 
         next_task = self._pick_next(rq)
         # With no migratable task anywhere, _steal can move nothing
-        # (the same census that parks the balance chains, DESIGN §12).
+        # (the same census that parks the balance timers, DESIGN §12).
         if (
             next_task.is_idle_task
             and rq.nr_queued == 0
@@ -1046,88 +1017,6 @@ class Kernel:
             self.update_curr(rq)
             cur.sched_class.task_tick(rq, cur)
         self._update_tick(cpu)
-
-    # ------------------------------------------------------------------
-    # Periodic load balancing
-    # ------------------------------------------------------------------
-    def _ensure_periodic_balance(self) -> None:
-        if self._balance_started:
-            return
-        self._balance_started = True
-        interval = self._lb_interval
-        if self.fastforward:
-            # Fast-forward chains: arm times, chain arithmetic
-            # (``now + interval`` per re-arm) and the acting path are
-            # bit-identical to the stock chain's; fires are elided only
-            # while the inertness witness holds (nothing queued anywhere
-            # or no migratable task — _steal can then never move work,
-            # so the fire is provably a no-op re-arm).
-            inert = self._balance_inert
-            fam = ChainFamily(self.sim, interval, EVPRIO_BALANCE, inert)
-            self._ff_balance = fam
-            now = self.sim.now
-            for i, cpu in enumerate(self.machine.cpu_ids):
-                offset = interval * (i + 1) / (len(self.machine.cpu_ids) + 1)
-                chain = fam.add(cpu, self._lbl_balance[cpu], now + offset)
-                chain.fire = self._balance_chain_fire(cpu, chain)
-                if inert():
-                    fam.park(chain)  # born inert: never touches the heap
-                else:
-                    fam.arm(chain)
-            return
-        for i, cpu in enumerate(self.machine.cpu_ids):
-            offset = interval * (i + 1) / (len(self.machine.cpu_ids) + 1)
-            self.sim.after(
-                offset,
-                lambda c=cpu: self._periodic_balance(c),
-                priority=EVPRIO_BALANCE,
-                label=self._lbl_balance[cpu],
-            )
-
-    def _balance_inert(self) -> bool:
-        """Witness that a balance fire is a no-op re-arm: with nothing
-        queued there is nothing to pull, and with no migratable task
-        ``_steal`` cannot move anything (see ``_migratable``)."""
-        return self._queued_total == 0 or self._migratable == 0
-
-    def _balance_chain_fire(self, cpu: int, chain) -> Any:
-        """The fast-forward twin of :meth:`_periodic_balance`: identical
-        guards and acting path, park-or-arm re-arm."""
-        sim = self.sim
-        fam = chain.family
-
-        def fire() -> None:
-            chain.event = None
-            if self.live_tasks <= 0:
-                fam.kill(chain)  # quiesce, as the serial fire would
-                return
-            if self._queued_total:
-                self.balancer.periodic(cpu)
-            t = sim.now + fam.interval
-            chain.next_time = t
-            if self._queued_total == 0 or self._migratable == 0:
-                fam.park(chain)
-            else:
-                chain.event = sim.at(
-                    t, fire, priority=EVPRIO_BALANCE, label=chain.label
-                )
-
-        return fire
-
-    def _periodic_balance(self, cpu: int) -> None:
-        if self.live_tasks <= 0:
-            return  # quiesce: no work left, stop re-arming
-        # With nothing queued anywhere there is nothing to pull; skip the
-        # whole-machine busiest-queue scan but keep the timer armed (the
-        # event stream is identical either way).
-        if self._queued_total:
-            self.balancer.periodic(cpu)
-        self.sim.after(
-            self._lb_interval,
-            lambda: self._periodic_balance(cpu),
-            priority=EVPRIO_BALANCE,
-            label=self._lbl_balance[cpu],
-        )
 
     # ------------------------------------------------------------------
     # Run loop and tracing

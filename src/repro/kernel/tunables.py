@@ -71,12 +71,11 @@ class Tunables:
         is also invoked once immediately (subscribe == sync now).
 
         Hooks run *synchronously inside* :meth:`set`, before the writing
-        event returns — the fast-forward engine depends on this: a
-        period change re-times parked timer chains at the exact change
-        instant (``ChainFamily.retime``), so elided fires before the
-        write use the old interval and the first fire after it the new
-        one, exactly like an armed chain reading the tunable at fire
-        time."""
+        event returns — the parked balance timers depend on this: a
+        period change re-times them at the exact change instant
+        (``LoadBalancer.retime``), so skipped fires before the write use
+        the old interval and the first fire after it the new one,
+        exactly like an armed timer reading the tunable at fire time."""
         self._subscribers.append(callback)
         callback()
 

@@ -72,11 +72,11 @@ class Simulator:
     @property
     def cur_event_prio(self) -> Optional[int]:
         """Priority of the event whose callback is currently executing
-        (``None`` outside event delivery).  Fast-forward re-arm walks use
-        it to order a reinstated chain point that collides with ``now``
-        exactly as same-instant delivery would have.  Stored packed (the
-        delivering event's ``order``) so the drain stores an int it
-        already has."""
+        (``None`` outside event delivery), set for every delivery.  The
+        load balancer's unpark walk uses it to order a parked timer's
+        fire that falls exactly on ``now`` as same-instant delivery
+        would have.  Stored packed (the delivering event's ``order``) so
+        the drain stores an int it already has."""
         order = self._cur_order
         return None if order is None else order // SEQ_SPAN
 

@@ -236,57 +236,3 @@ def test_collector_off_run_leaves_no_cyclic_garbage():
     c.run()
     assert c._live_total == 0
     assert gc.collect() == 0
-
-
-def test_cluster_tracing_and_pmu_opt_in():
-    """Per-node tracing and PMU attribution are off by default at
-    cluster scale and opt back in via the constructor."""
-    off = Cluster(n_nodes=2, heuristic_factory=None)
-    assert all(n.kernel.trace is None for n in off.nodes)
-    assert all(not n.kernel.pmu_enabled for n in off.nodes)
-    on = Cluster(
-        n_nodes=2,
-        heuristic_factory=None,
-        collect_traces=True,
-        collect_pmu=True,
-    )
-    assert all(n.kernel.trace is not None for n in on.nodes)
-    assert all(n.kernel.pmu_enabled for n in on.nodes)
-    ranks = 2 * on.cpus_per_node
-    on.launch(
-        _barrier_workers(ranks),
-        block_placement(ranks, 2, on.cpus_per_node),
-    )
-    on.run()
-    assert all(len(n.kernel.trace.events) > 0 for n in on.nodes)
-
-
-def test_run_finalizes_enabled_node_pmus():
-    """Counters read after ``Cluster.run`` cover the whole run, as after
-    ``Kernel.run``: the busy time up to a horizon is attributed without
-    an explicit ``finalize``."""
-    c = Cluster(n_nodes=2, heuristic_factory=None, collect_pmu=True)
-    ranks = c.cpus_per_node
-    c.launch(
-        _barrier_workers(ranks, work=1.0, iterations=1),
-        block_placement(ranks, 2, c.cpus_per_node),
-    )
-    assert c.run(until=0.5) == 0.5
-    pmu = c.nodes[0].kernel.pmu
-    for cpu in range(ranks):
-        assert pmu.context_counters(cpu).busy_time == pytest.approx(0.5)
-
-
-def test_tracing_choice_does_not_change_schedule():
-    """Tracing/PMU collection is pure observability: the simulated
-    execution is identical with and without it."""
-    ends = []
-    for flags in ({}, {"collect_traces": True, "collect_pmu": True}):
-        c = Cluster(n_nodes=2, heuristic_factory=None, **flags)
-        ranks = 2 * c.cpus_per_node
-        c.launch(
-            _barrier_workers(ranks),
-            block_placement(ranks, 2, c.cpus_per_node),
-        )
-        ends.append((c.run(), c.sim.events_processed))
-    assert ends[0] == ends[1]

@@ -6,13 +6,15 @@ instants) while the fast-forward run processes fewer events.  The races
 pinned here are the ones where a wrong re-arm walk would silently shift
 a balance round:
 
-* witness invalidated at the *exact* instant of an elided chain point
-  (both same-instant orderings: invalidator before and after the chain
+* witness invalidated at the *exact* instant of an elided balance fire
+  (both same-instant orderings: invalidator before and after the
   fire),
 * a tunable interval change delivered in the same batched instant as
   the witness-breaking event,
-* balance-chain re-arm after ``migrate()`` of a RUNNING task (extends
-  PR 4's regression family), including under the detector heuristic.
+* balance-timer re-arm after ``migrate()`` of a RUNNING task,
+  including under the detector heuristic,
+* a kernel whose parked timers outlive its last task and revive when
+  work lands again (the dead window).
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.kernel import Compute, Kernel, Sleep
 from repro.kernel.core_sched import EVPRIO_BALANCE
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import TableDrivenModel
+from repro.simcore.engine import Simulator
 from repro.trace.collector import TraceCollector
 from tests.conftest import use_stock_kernels
 
@@ -60,7 +63,7 @@ def twin_run(scenario, until=None):
 
 def _balance_points(k, cpu, count):
     """The first ``count`` serial balance-fire instants of ``cpu``'s
-    chain, by the same float arithmetic the kernel uses (anchored at the
+    timer, by the same float arithmetic the kernel uses (anchored at the
     first start_task, assumed to happen at t=0)."""
     interval = k.tunables.get("kernel/loadbalance_interval")
     n = len(k.machine.cpu_ids)
@@ -76,18 +79,25 @@ def _balance_points(k, cpu, count):
 # ----------------------------------------------------------------------
 # Baseline equivalence + elision accounting
 # ----------------------------------------------------------------------
+def test_flag_defaults_on():
+    # Elision is the shipped configuration; fastforward=False is only
+    # the non-eliding reference for twin runs.
+    assert Kernel().fastforward is True
+    assert Kernel(fastforward=False).fastforward is False
+
+
 def test_saturated_kernel_parks_balance_and_matches_stock():
     # One hog per CPU: nothing queued, so every balance fire is a no-op
-    # re-arm — all four chains park and never touch the heap.
+    # re-arm — all four timers park and never touch the heap.
     def scenario(k):
         for cpu in k.machine.cpu_ids:
             k.spawn(f"hog{cpu}", _hog(0.5), cpu=cpu)
 
     on, off = twin_run(scenario)
     assert on.sim.events_processed < off.sim.events_processed
-    assert on._ff_balance is not None
-    assert on._ff_balance.elided == 0  # parked throughout: nothing walked
-    assert on._ff_balance.parked == len(on.machine.cpu_ids)
+    assert on.balancer.next_fire  # the timers started
+    assert on.balancer.elided == 0  # parked throughout: nothing walked
+    assert on.balancer.parked == len(on.machine.cpu_ids)
 
 
 def test_pinned_tasks_park_via_migratable_witness():
@@ -104,7 +114,7 @@ def test_pinned_tasks_park_via_migratable_witness():
 
 def test_unpinning_mid_run_unparks_and_balances_identically():
     # Queued pinned work becomes migratable mid-run via set_affinity:
-    # the 0→1 migratable edge must re-arm the parked chains so the
+    # the 0→1 migratable edge must re-arm the parked timers so the
     # steal happens at the exact serial balance instant.
     def scenario(k):
         tasks = [
@@ -119,23 +129,25 @@ def test_unpinning_mid_run_unparks_and_balances_identically():
 
 
 # ----------------------------------------------------------------------
-# Race 1: witness invalidated at the exact elided chain point
+# Race 1: witness invalidated at the exact elided balance fire
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "prio", [1, EVPRIO_BALANCE + 3], ids=["before-chain", "after-chain"]
 )
 def test_witness_broken_exactly_on_chain_point(prio):
-    # Four running hogs (queued == 0 → chains parked).  The imbalance
-    # lands at exactly cpu0's 4th serial chain point.  With the
-    # invalidator *before* the chain fire in heap order (prio 1) the
-    # re-armed chain must still fire at that same instant; with it
+    # Four running hogs (queued == 0 → timers parked).  The imbalance
+    # lands on cpu0 at exactly cpu1's 4th serial fire instant: a fire
+    # of the loaded CPU itself pulls nothing, so only another CPU's
+    # fire shows the tie order in the trace.  With the invalidator
+    # *before* the balance fire in heap order (prio 1) the re-armed
+    # timer must still fire at that same instant and pull; with it
     # *after* (prio 9) the serial fire preceded it, saw an inert
     # kernel, and the next real fire is one interval later.  Both
     # orderings must replay the stock scheduler bit-for-bit.
     def scenario(k):
         for cpu in k.machine.cpu_ids:
             k.spawn(f"hog{cpu}", _hog(3.0), cpu=cpu)
-        t_star = _balance_points(k, cpu=0, count=4)[-1]
+        t_star = _balance_points(k, cpu=1, count=4)[-1]
 
         def pile_on():
             # Two extra unpinned tasks on cpu0: imbalance of 2, enough
@@ -154,9 +166,9 @@ def test_witness_broken_exactly_on_chain_point(prio):
 # ----------------------------------------------------------------------
 def test_interval_change_and_unpark_in_same_instant_batch():
     # At one instant, in one batch: (a) the balance interval is retimed
-    # while every chain is parked, then (b) the witness breaks.  The
+    # while every timer is parked, then (b) the witness breaks.  The
     # re-arm walk must use the old interval up to the change instant
-    # and the new one after — exactly like the stock chain, which reads
+    # and the new one after — exactly like the stock timer, which reads
     # the tunable at each fire.
     def scenario(k):
         for cpu in k.machine.cpu_ids:
@@ -181,9 +193,11 @@ def test_interval_change_and_unpark_in_same_instant_batch():
 def test_interval_change_while_parked_then_later_unpark():
     # Retime and unpark at *different* instants: parked anchors must be
     # walked with the old interval up to the change, then the new one.
+    # The hogs are pinned, so the timers are born parked and three of
+    # the four anchors still lie before the change instant.
     def scenario(k):
         for cpu in k.machine.cpu_ids:
-            k.spawn(f"hog{cpu}", _hog(3.0), cpu=cpu)
+            k.spawn(f"hog{cpu}", _hog(3.0), cpu=cpu, cpus_allowed=[cpu])
 
         def retune():
             k.tunables.set("kernel/loadbalance_interval", 0.256)
@@ -203,9 +217,9 @@ def test_interval_change_while_parked_then_later_unpark():
 # Race 3: re-arm after migrate() of a RUNNING task
 # ----------------------------------------------------------------------
 def test_balance_rearm_after_migrating_running_task():
-    # All chains parked (queued == 0).  migrate() of a RUNNING task onto
+    # All timers parked (queued == 0).  migrate() of a RUNNING task onto
     # a busy CPU creates the first queued task — the enqueue edge inside
-    # migrate must re-arm the chains mid-event so the following balance
+    # migrate must re-arm the timers mid-event so the following balance
     # round replays exactly.
     def scenario(k):
         tasks = [
@@ -223,7 +237,7 @@ def test_detector_workload_identical_with_fastforward(monkeypatch):
     # End-to-end through the HPC detector heuristic: same completion
     # table, fewer events.  (The detector itself is wakeup-driven — it
     # owns no timer — so this pins that migrations it triggers unpark
-    # the balance chains correctly.)
+    # the balance timers correctly.)
     from repro.experiments import metbench
 
     fast = metbench.run_one("adaptive", iterations=4, keep_trace=True)
@@ -255,3 +269,55 @@ def test_cluster_elides_events_with_identical_exits(monkeypatch):
     for f, s in zip(fast, stock):
         assert f.rank_exit == s.rank_exit
         assert 0 < f.events < s.events
+
+
+# ----------------------------------------------------------------------
+# Dead window: timers parked through the last exit, then revived
+# ----------------------------------------------------------------------
+def _dead_window_trace(ff, gap, pinned_first):
+    """Kernel A's four pinned 0.1 s hogs leave its timers born parked,
+    and A goes dead at about 0.1 s while kernel B's pinned 2 s hog keeps
+    the shared run alive.  At ``0.1 + gap`` work lands on A's cpu0:
+    three unpinned hogs, or with ``pinned_first`` one pinned hog (A is
+    live again but nothing can migrate) and the unpinned ones 0.2 s
+    later.  Returns A's trace."""
+    sim = Simulator()
+    a, b = (
+        Kernel(
+            machine=Machine(MachineTopology(), TableDrivenModel()),
+            sim=sim, trace=TraceCollector(), fastforward=ff,
+        )
+        for _ in range(2)
+    )
+    for cpu in a.machine.cpu_ids:
+        a.spawn(f"a{cpu}", _hog(0.1), cpu=cpu, cpus_allowed=[cpu])
+    b.spawn("b", _hog(2.0), cpu=0, cpus_allowed=[0])
+
+    def land():
+        for i in range(3):
+            a.spawn(f"x{i}", _hog(0.5), cpu=0)
+
+    t = 0.1 + gap
+    if pinned_first:
+        sim.at(t, lambda: a.spawn("p", _hog(0.5), cpu=0, cpus_allowed=[0]),
+               priority=1)
+        t += 0.2
+    sim.at(t, land, priority=1)
+    sim.run(stop_when=lambda: a.live_tasks + b.live_tasks == 0)
+    return _trace_of(a)
+
+
+@pytest.mark.parametrize(
+    "gap, pinned_first", [(0.02, False), (0.3, False), (0.02, True)]
+)
+def test_dead_window_revival_matches_stock(gap, pinned_first):
+    # An always-armed timer of A dies at its first fire in the dead
+    # window; a parked one must die at that same point when work lands
+    # on A again, and a timer with no point there must live on.  A gap
+    # of 0.02 kills two of A's timers, 0.3 all four.  With pinned work
+    # first, A revives at 0.12 and its two surviving timers stay parked:
+    # when unpinned work lands at 0.32 their walk must not treat the
+    # live span after the revival as dead.
+    assert _dead_window_trace(True, gap, pinned_first) == _dead_window_trace(
+        False, gap, pinned_first
+    )

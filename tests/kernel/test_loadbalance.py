@@ -87,8 +87,8 @@ def test_overload_resolves_via_scheduling(quiet_kernel):
 
 def test_migratable_census_tracks_masks(quiet_kernel):
     """``_migratable`` counts started tasks whose mask allows >1 CPU —
-    the fast-forward balance witness's proof obligation for parking
-    balance timers."""
+    the census the load balancer parks its timers on (a pinned task
+    can never be pulled)."""
     k = quiet_kernel
     assert k._migratable == 0
     pinned = k.spawn("p", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])

@@ -305,3 +305,87 @@ def test_storm_deep_deterministic_event_count():
 
     # chains * (n // chains) events, independent of scheduling noise
     assert event_storm_deep(1000, chains=16) == 16 * (1000 // 16)
+
+
+# ----------------------------------------------------------------------
+# Batched same-instant delivery
+# ----------------------------------------------------------------------
+def test_batched_delivery_preserves_priority_order():
+    sim = Simulator()
+    order = []
+    sim.at(1.0, lambda: order.append("p5"), priority=5)
+    sim.at(1.0, lambda: order.append("p0"), priority=0)
+    sim.at(1.0, lambda: order.append("p2"), priority=2)
+    sim.at(2.0, lambda: order.append("later"))
+    sim.run()
+    assert order == ["p0", "p2", "p5", "later"]
+
+
+def test_batched_delivery_sees_events_scheduled_at_same_instant():
+    # A handler scheduling more work at the current instant must have it
+    # delivered inside the same batch, in priority order.
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("first")
+        sim.at(1.0, lambda: order.append("injected"), priority=9)
+
+    sim.at(1.0, first, priority=0)
+    sim.at(1.0, lambda: order.append("second"), priority=1)
+    sim.run()
+    assert order == ["first", "second", "injected"]
+
+
+def test_batched_delivery_skips_events_cancelled_within_batch():
+    sim = Simulator()
+    order = []
+    victim = sim.at(1.0, lambda: order.append("victim"), priority=5)
+    sim.at(1.0, lambda: victim.cancel(), priority=0)
+    sim.at(1.0, lambda: order.append("kept"), priority=7)
+    sim.run()
+    assert order == ["kept"]
+
+
+def test_stop_inside_batch_halts_before_next_event():
+    sim = Simulator()
+    order = []
+    sim.at(1.0, lambda: (order.append("a"), sim.stop()), priority=0)
+    sim.at(1.0, lambda: order.append("b"), priority=1)
+    sim.run()
+    assert order == ["a"]
+    assert len(sim.queue) == 1  # "b" still pending
+
+
+def test_stop_when_inside_batch_halts_before_next_event():
+    sim = Simulator()
+    order = []
+    sim.at(1.0, lambda: order.append("a"), priority=0)
+    sim.at(1.0, lambda: order.append("b"), priority=1)
+    sim.run(stop_when=lambda: bool(order))
+    assert order == ["a"]
+
+
+def test_batched_loop_enforces_event_limit():
+    sim = Simulator(max_events=10)
+
+    def rearm():
+        sim.at(sim.now, rearm)
+
+    sim.at(0.0, rearm)
+    with pytest.raises(SimulationError, match="event limit"):
+        sim.run()
+
+
+def test_cur_event_prio_visible_during_delivery():
+    # Every delivery stores the event's priority, with or without a
+    # horizon; outside a run it reads None.
+    for until in (None, 2.0):
+        sim = Simulator()
+        seen = []
+        sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
+        sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
+        sim.at(1.5, lambda: seen.append(sim.cur_event_prio), priority=-2)
+        sim.run(until=until)
+        assert seen == [4, 7, -2]
+        assert sim.cur_event_prio is None
