@@ -19,10 +19,11 @@ from repro.workloads.metbench import MetBench
 def _run():
     out = {}
     for high in (70.0, 85.0, 95.0, 99.995):
-        tun = Tunables()
-        tun.set("hpcsched/high_util", high)
         out[high] = run_experiment(
-            MetBench(iterations=15), "uniform", tunables=tun, keep_trace=False
+            MetBench(iterations=15),
+            "uniform",
+            tunables=Tunables(high_util=high),
+            keep_trace=False,
         )
     out["cfs"] = run_experiment(
         MetBench(iterations=15), "cfs", keep_trace=False

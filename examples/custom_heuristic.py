@@ -29,12 +29,12 @@ class ProportionalHeuristic(Heuristic):
 
     def decide(self, detector, task, stats) -> Optional[int]:
         tun = detector.kernel.tunables
-        lo = tun.get("hpcsched/min_prio")
-        hi = tun.get("hpcsched/max_prio")
+        lo = tun.min_prio
+        hi = tun.max_prio
         util = stats.last_util if stats.last_util is not None else 0.0
         # full window between the paper's LOW/HIGH anchor points
-        low_anchor = tun.get("hpcsched/low_util") / 100.0
-        high_anchor = tun.get("hpcsched/high_util") / 100.0
+        low_anchor = tun.low_util / 100.0
+        high_anchor = tun.high_util / 100.0
         if util <= low_anchor:
             return lo
         if util >= high_anchor:

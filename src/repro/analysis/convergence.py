@@ -9,9 +9,7 @@ task's ``e``-th closed iteration, counted by each task's own event
 changes, so it is not a global counter) — and derives, per epoch, the
 detector's measured imbalance:
 
-* **spread** — ``(max - min) * 100`` utilization points, the same
-  quantity the detector's own ``application_balanced()`` thresholds
-  (tunable ``hpcsched/balance_spread``, default 10 points);
+* **spread** — ``(max - min) * 100`` utilization points;
 * **factor** — ``max(util) / mean(util)``, the classic imbalance
   factor over the epoch's utilizations.
 
@@ -33,8 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.trace.collector import TraceCollector
 
-#: Default convergence threshold in utilization points — the detector's
-#: own ``hpcsched/balance_spread`` default.
+#: Default convergence threshold in utilization points.
 DEFAULT_EPS = 10.0
 
 

@@ -36,13 +36,10 @@ def ablation_gl(
     """Sweep the Adaptive heuristic's (G, L) weights on MetBenchVar."""
     out = {}
     for g, l in weights:
-        tun = Tunables()
-        tun.set("hpcsched/adaptive_g", g)
-        tun.set("hpcsched/adaptive_l", l)
         res = run_experiment(
             MetBenchVar(iterations=iterations, k=k),
             "adaptive",
-            tunables=tun,
+            tunables=Tunables(adaptive_g=g, adaptive_l=l),
             keep_trace=False,
         )
         out[f"G={g:.2f}/L={l:.2f}"] = res
@@ -93,13 +90,10 @@ def ablation_priority_range(
     slowdown explodes (an order of magnitude, §I)."""
     out = {}
     for lo, hi in ranges:
-        tun = Tunables()
-        tun.set("hpcsched/min_prio", lo)
-        tun.set("hpcsched/max_prio", hi)
         res = run_experiment(
             MetBench(iterations=iterations),
             "uniform",
-            tunables=tun,
+            tunables=Tunables(min_prio=lo, max_prio=hi),
             keep_trace=False,
         )
         out[f"[{lo},{hi}]"] = res

@@ -4,9 +4,10 @@ Three mostly-independent components:
 
 * **Scheduling policy** (:mod:`repro.hpcsched.sched_hpc`): a new
   scheduling class inserted between the real-time and the CFS class,
-  serving the new ``SCHED_HPC`` policy with FIFO or round-robin
-  queueing.  An application opts in with one ``sched_setscheduler()``
-  call — the only source modification required.
+  serving the new ``SCHED_HPC`` policy with round-robin queueing (the
+  policy the paper evaluates).  An application opts in with one
+  ``sched_setscheduler()`` call — the only source modification
+  required.
 * **Load Imbalance Detector and heuristics**
   (:mod:`repro.hpcsched.detector`, :mod:`repro.hpcsched.heuristics`):
   per-iteration CPU-utilization tracking (an iteration is a compute
@@ -25,12 +26,6 @@ every experiment pins its ranks, so an equalization pass could never
 move one.
 """
 
-from repro.hpcsched.bands import (
-    BandConfig,
-    adaptive_mix,
-    band_target,
-    global_before_last,
-)
 from repro.hpcsched.sched_hpc import HPCSchedClass, attach_hpcsched
 from repro.hpcsched.detector import LoadImbalanceDetector, HPCTaskStats
 from repro.hpcsched.heuristics import (
@@ -38,7 +33,6 @@ from repro.hpcsched.heuristics import (
     UniformHeuristic,
     AdaptiveHeuristic,
     HybridHeuristic,
-    StaticPriorities,
 )
 from repro.hpcsched.mechanism import (
     PriorityMechanism,
@@ -47,10 +41,6 @@ from repro.hpcsched.mechanism import (
 )
 
 __all__ = [
-    "BandConfig",
-    "adaptive_mix",
-    "band_target",
-    "global_before_last",
     "HPCSchedClass",
     "attach_hpcsched",
     "LoadImbalanceDetector",
@@ -59,7 +49,6 @@ __all__ = [
     "UniformHeuristic",
     "AdaptiveHeuristic",
     "HybridHeuristic",
-    "StaticPriorities",
     "PriorityMechanism",
     "POWER5Mechanism",
     "NullMechanism",

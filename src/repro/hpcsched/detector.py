@@ -39,7 +39,7 @@ detector runs a three-state machine:
 * **OBSERVING** — one full round with no decisions; then freeze, taking
   each task's fresh utilization as its stable-state reference.
 * **FROZEN** — priorities held.  A task deviating from its reference by
-  more than ``hpcsched/rebalance_delta`` points signals a behaviour
+  more than ``Tunables.rebalance_delta`` points signals a behaviour
   change: thaw, discard the now-stale history (keeping the revealing
   iteration) and re-balance — one or two iterations, as the paper
   observes on MetBenchVar.
@@ -155,22 +155,17 @@ class LoadImbalanceDetector:
         #: Tasks that closed an iteration in the current round.
         self._round_closed: set = set()
         self._round_changed = False
-        kernel.tunables.subscribe(self._refresh_tunable_cache)
-
-    def _refresh_tunable_cache(self) -> None:
-        """Cache the knobs consulted on every iteration close (and by
-        the heuristics' decide())."""
-        get = self.kernel.tunables.get
-        self._min_iter_time = get("hpcsched/min_iter_time")
-        self._rebalance_delta = get("hpcsched/rebalance_delta")
-        self._balance_spread = get("hpcsched/balance_spread")
-        self._min_prio = get("hpcsched/min_prio")
-        self._max_prio = get("hpcsched/max_prio")
-        self._high_util = get("hpcsched/high_util")
-        self._low_util = get("hpcsched/low_util")
-        self._prio_step_mode = get("hpcsched/prio_step_mode")
-        self._adaptive_g = get("hpcsched/adaptive_g")
-        self._adaptive_l = get("hpcsched/adaptive_l")
+        # The knobs read on every iteration close and by the
+        # heuristics' decide().
+        tunables = kernel.tunables
+        self._min_iter_time = tunables.min_iter_time
+        self._rebalance_delta = tunables.rebalance_delta
+        self._min_prio = tunables.min_prio
+        self._max_prio = tunables.max_prio
+        self._high_util = tunables.high_util
+        self._low_util = tunables.low_util
+        self._adaptive_g = tunables.adaptive_g
+        self._adaptive_l = tunables.adaptive_l
 
     # ------------------------------------------------------------------
     # Task registry (driven by the HPC scheduling class)
@@ -290,25 +285,6 @@ class LoadImbalanceDetector:
     def frozen(self) -> bool:
         """Whether the detector sits in the stable (frozen) state."""
         return self.state == "frozen"
-
-    # ------------------------------------------------------------------
-    # Application-level views (analysis helpers)
-    # ------------------------------------------------------------------
-    def last_utils(self) -> List[float]:
-        """Last-iteration utilization of every tracked task that has
-        closed at least one iteration."""
-        return [
-            st.last_util for st in self.stats.values() if st.last_util is not None
-        ]
-
-    def application_balanced(self) -> bool:
-        """Whether the last-iteration utilizations sit within
-        ``hpcsched/balance_spread`` points (analysis helper)."""
-        utils = self.last_utils()
-        if len(utils) < len(self.stats) or not utils:
-            return False
-        spread = (max(utils) - min(utils)) * 100.0
-        return spread <= self._balance_spread
 
     # ------------------------------------------------------------------
     def _apply(self, task: "Task", priority: int) -> None:

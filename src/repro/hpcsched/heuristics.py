@@ -21,21 +21,14 @@ Once the Load Imbalance Detector reports the application balanced, both
 heuristics hold their priorities and only resume adjusting when the
 behaviour changes — the "stable state" of paper §IV-B.
 
-:class:`StaticPriorities` reproduces the authors' earlier IPDPS'08
-baseline: fixed, hand-tuned priorities applied once at start.
+The band edges, the priority window and G/L are the detector's copies
+of the kernel's :class:`~repro.kernel.tunables.Tunables`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Optional
-
-from repro.hpcsched.bands import (
-    BandConfig,
-    adaptive_mix,
-    band_target,
-    global_before_last,
-)
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hpcsched.detector import HPCTaskStats, LoadImbalanceDetector
@@ -57,33 +50,22 @@ class Heuristic(ABC):
         """Return the new hardware priority, or None to keep the current
         one.  Called at each iteration boundary of ``task``."""
 
-    # ------------------------------------------------------------------
-    # Shared plumbing
-    # ------------------------------------------------------------------
+    @staticmethod
     def _target_from_util(
-        self,
         detector: "LoadImbalanceDetector",
-        task: "Task",
         util_pct: float,
     ) -> Optional[int]:
         """Apply the LOW/HIGH utilization bands to ``util_pct``.
 
-        The band arithmetic itself lives in :mod:`repro.hpcsched.bands`
-        (shared with the service-layer fair-share balancer); this
-        method only supplies the detector's tunable cache — refreshed
-        on every tunables.set — and the task's current priority.
+        Returns the band's priority, or ``None`` when the utilization
+        sits in the hysteresis gap and the current priority should be
+        held.  Both edges are inclusive.
         """
-        return band_target(
-            util_pct,
-            current=detector.mechanism.read(task),
-            cfg=BandConfig(
-                low_util=detector._low_util,
-                high_util=detector._high_util,
-                min_prio=detector._min_prio,
-                max_prio=detector._max_prio,
-                step=detector._prio_step_mode == "step",
-            ),
-        )
+        if util_pct >= detector._high_util:
+            return detector._max_prio
+        if util_pct <= detector._low_util:
+            return detector._min_prio
+        return None
 
 
 class UniformHeuristic(Heuristic):
@@ -92,7 +74,7 @@ class UniformHeuristic(Heuristic):
     name = "uniform"
 
     def decide(self, detector, task, stats) -> Optional[int]:
-        return self._target_from_util(detector, task, stats.global_util * 100.0)
+        return self._target_from_util(detector, stats.global_util * 100.0)
 
 
 class AdaptiveHeuristic(Heuristic):
@@ -106,22 +88,27 @@ class AdaptiveHeuristic(Heuristic):
     name = "adaptive"
 
     def decide(self, detector, task, stats) -> Optional[int]:
-        last = stats.last_util if stats.last_util is not None else 0.0
-        util = adaptive_mix(
-            detector._adaptive_g,
-            detector._adaptive_l,
-            self._global_before_last(stats),
-            last,
+        return self._target_from_util(
+            detector, self.utilization(detector, stats) * 100.0
         )
-        return self._target_from_util(detector, task, util * 100.0)
 
     @staticmethod
-    def _global_before_last(stats: "HPCTaskStats") -> float:
-        """``Ug(i-1)`` reconstructed from the stats' history (see
-        :func:`repro.hpcsched.bands.global_before_last`)."""
+    def utilization(
+        detector: "LoadImbalanceDetector", stats: "HPCTaskStats"
+    ) -> float:
+        """The paper's blend ``U = G*Ug(i-1) + L*Ul(i)`` (0..1).
+
+        ``Ug(i-1)`` is the duration-unweighted mean of every closed
+        iteration but the newest; with no older history it falls back
+        to the last utilization (or 0 before any iteration).
+        """
+        last = stats.last_util if stats.last_util is not None else 0.0
         if stats.iterations <= 1:
-            return stats.last_util if stats.last_util is not None else 0.0
-        return global_before_last(stats.history, stats.last_util)
+            prev_global = last
+        else:
+            older = stats.history[:-1]
+            prev_global = sum(older) / len(older)
+        return detector._adaptive_g * prev_global + detector._adaptive_l * last
 
 
 class HybridHeuristic(Heuristic):
@@ -163,20 +150,4 @@ class HybridHeuristic(Heuristic):
             util = (recent[-1] + recent[-2]) / 2.0  # consistent signal
         else:
             util = sorted(recent)[len(recent) // 2]  # damped median
-        return self._target_from_util(detector, task, util * 100.0)
-
-
-class StaticPriorities(Heuristic):
-    """The IPDPS'08 static baseline: hand-tuned priorities by task name,
-    applied at the first iteration boundary and never changed."""
-
-    name = "static"
-
-    def __init__(self, priorities: Dict[str, int]) -> None:
-        self.priorities = dict(priorities)
-
-    def decide(self, detector, task, stats) -> Optional[int]:
-        want = self.priorities.get(task.name)
-        if want is None:
-            return None
-        return want
+        return self._target_from_util(detector, util * 100.0)

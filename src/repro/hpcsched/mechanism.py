@@ -28,9 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class PriorityMechanism(ABC):
     """Reads/writes a task's hardware thread priority."""
 
-    #: Whether the mechanism can actually bias resources.
-    effective: bool = True
-
     @abstractmethod
     def apply(self, kernel: "Kernel", task: "Task", priority: int) -> None:
         """Program ``priority`` for ``task`` (now if running, otherwise
@@ -58,8 +55,6 @@ class POWER5Mechanism(PriorityMechanism):
 class NullMechanism(PriorityMechanism):
     """No hardware prioritization available: priorities are recorded on
     the task descriptor but have no performance effect."""
-
-    effective = False
 
     def apply(self, kernel: "Kernel", task: "Task", priority: int) -> None:
         # Record only; never touch the context, never change rates.

@@ -2,12 +2,13 @@
 
 Inserted between the real-time and the CFS class, so HPC tasks always
 beat normal tasks to the CPU (that ordering alone is the source of the
-scheduler-latency gains of §V-D) while FIFO/RR semantics are preserved.
+scheduler-latency gains of §V-D).
 
 Queueing is deliberately simple: with the expected one-HPC-task-per-CPU
-workload a round-robin list matches an ordered timeline, and the paper
-found FIFO and RR indistinguishable; both are implemented and selected
-with the ``hpcsched/policy_mode`` tunable.
+workload a round-robin list matches an ordered timeline.  The class
+always round-robins (slice ``Tunables.hpc_rr_timeslice``), which is the
+policy the paper evaluates; the paper found FIFO indistinguishable from
+it, so no FIFO mode is modelled.
 
 The class also feeds the Load Imbalance Detector: blocking on an MPI
 wait starts a wait phase, waking from one closes an iteration.
@@ -31,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class HPCQueue:
-    """Per-CPU FIFO/RR list of runnable HPC tasks."""
+    """Per-CPU round-robin list of runnable HPC tasks."""
 
     __slots__ = ("tasks",)
 
@@ -55,14 +56,8 @@ class HPCSchedClass(SchedClass):
         self.detector = LoadImbalanceDetector(
             kernel, heuristic or UniformHeuristic(), mechanism
         )
-        kernel.tunables.subscribe(self._refresh_tunable_cache)
-
-    def _refresh_tunable_cache(self) -> None:
-        """Cache the per-pick/per-tick knobs of the HPC class."""
-        get = self.kernel.tunables.get
-        self._rr = get("hpcsched/policy_mode") == "rr"
-        self._rr_timeslice = get("hpcsched/rr_timeslice")
-        self._tick_period = get("kernel/tick_period")
+        self._rr_timeslice = kernel.tunables.hpc_rr_timeslice
+        self._tick_period = kernel.tunables.tick_period
 
     # ------------------------------------------------------------------
     # Queueing discipline
@@ -84,7 +79,7 @@ class HPCSchedClass(SchedClass):
         if q is None or not q.tasks:
             return None
         task = q.tasks.popleft()
-        if self._rr and task.rr_slice_left <= 0.0:
+        if task.rr_slice_left <= 0.0:
             task.rr_slice_left = self._rr_timeslice
         return task
 
@@ -96,8 +91,6 @@ class HPCSchedClass(SchedClass):
     # Tick / preemption
     # ------------------------------------------------------------------
     def task_tick(self, rq: "RunQueue", task: "Task") -> None:
-        if not self._rr:
-            return  # FIFO: the selected task runs until it yields/blocks
         task.rr_slice_left -= self._tick_period
         if task.rr_slice_left > 0.0:
             return
@@ -112,8 +105,6 @@ class HPCSchedClass(SchedClass):
         return False
 
     def needs_tick(self, rq: "RunQueue", task: "Task") -> bool:
-        if not self._rr:
-            return False
         q = rq.class_queues.get(self.name)
         return q is not None and len(q.tasks) > 0
 

@@ -13,8 +13,8 @@ scheduler the paper's HPCSched is defined against (paper §III):
 * the **idle class** (:mod:`repro.kernel.idlecls`),
 * per-CPU run queues, scheduling domains derived from the machine
   topology, an idle-pull + periodic load balancer, a tickless (NOHZ-style)
-  timer tick, per-task wakeup-latency accounting and a sysfs-like
-  tunable registry.
+  timer tick, per-task wakeup-latency accounting and the frozen per-run
+  :class:`~repro.kernel.tunables.Tunables` record.
 
 Tasks are Python generators yielding request objects (compute, sleep,
 MPI operations, sched_setscheduler, ...); the kernel drives them exactly

@@ -37,7 +37,7 @@ from repro.kernel.runqueue import RunQueue
 from repro.kernel.sched_class import SchedClass
 from repro.kernel.syscalls import Compute, Exit, KernelRequest
 from repro.kernel.task import Task
-from repro.kernel.tunables import Tunables
+from repro.kernel.tunables import DEFAULT_TUNABLES, Tunables
 from repro.power5.machine import Machine
 from repro.power5.perfmodel import CPU_BOUND, PerfProfile
 from repro.power5.priorities import (
@@ -127,7 +127,7 @@ class Kernel:
     ) -> None:
         self.sim = sim or Simulator()
         self.machine = machine or Machine()
-        self.tunables = tunables or Tunables()
+        self.tunables = tunables = tunables or DEFAULT_TUNABLES
         self.trace = trace
         #: Balance fires that can move nothing are skipped (the timers
         #: park, see repro.kernel.loadbalance).  ``False`` keeps every
@@ -144,9 +144,8 @@ class Kernel:
 
         # Hot-path caches.  Hardware contexts never change after machine
         # construction, and the per-event label strings are interned here
-        # once instead of being re-formatted per context switch.  Hot
-        # tunables are cached as attributes and refreshed through the
-        # registry's subscriber hook whenever any tunable is written.
+        # once instead of being re-formatted per context switch.  The
+        # tunables read per event are copied into plain attributes.
         self._ctxs: Dict[int, Any] = {
             cpu: self.machine.context(cpu) for cpu in self.machine.cpu_ids
         }
@@ -156,8 +155,9 @@ class Kernel:
         if batch is None:
             batch = self.sim._resched_batch = _ReschedBatch(self.sim)
         self._resched_batch = batch
+        self._cs_cost = tunables.context_switch_cost
+        self._tick_period = tunables.tick_period
         self.balancer = LoadBalancer(self)
-        self.tunables.subscribe(self._refresh_tunable_cache)
 
         #: Simulated performance counters (decode shares, ST time, ...),
         #: built lazily on first access: counters start at zero and the
@@ -223,16 +223,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Boot / configuration
     # ------------------------------------------------------------------
-    def _refresh_tunable_cache(self) -> None:
-        """Re-read the hot tunables consumed on every context switch,
-        tick and balance round (invoked via ``Tunables.subscribe``,
-        inside ``Tunables.set``, so the balance timers retime at the
-        change instant)."""
-        get = self.tunables.get
-        self._cs_cost = get("kernel/context_switch_cost")
-        self._tick_period = get("kernel/tick_period")
-        self.balancer.retime(get("kernel/loadbalance_interval"))
-
     def _boot(self) -> None:
         """Create and install the per-CPU idle tasks."""
         for cpu in self.machine.cpu_ids:

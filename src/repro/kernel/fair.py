@@ -93,14 +93,10 @@ class FairClass(SchedClass):
 
     def __init__(self, kernel) -> None:
         super().__init__(kernel)
-        kernel.tunables.subscribe(self._refresh_tunable_cache)
-
-    def _refresh_tunable_cache(self) -> None:
-        """Cache the CFS knobs read on every enqueue/tick/wakeup."""
-        get = self.kernel.tunables.get
-        self._latency = get("kernel/sched_latency")
-        self._min_gran = get("kernel/sched_min_granularity")
-        self._wakeup_gran = get("kernel/sched_wakeup_granularity")
+        tunables = kernel.tunables
+        self._latency = tunables.sched_latency
+        self._min_gran = tunables.sched_min_granularity
+        self._wakeup_gran = tunables.sched_wakeup_granularity
 
     def create_queue(self) -> CFSQueue:
         return CFSQueue()

@@ -39,8 +39,8 @@ class LoadBalancer:
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
         self.hierarchy = hierarchy_for(kernel.machine)
-        #: Timer period; kept by :meth:`retime` from the tunable.
-        self.interval = 0.0
+        #: Timer period.
+        self.interval = kernel.tunables.loadbalance_interval
         #: Per CPU index: the timer's next fire instant (the armed
         #: event's time, or where a parked timer would fire next), or
         #: ``None`` once the timer died.  Empty until :meth:`start`.
@@ -245,16 +245,3 @@ class LoadBalancer:
         for i in self._parked_timers():
             self._walk(i, now, False)
         self.dead_at = None
-
-    def retime(self, interval: float) -> None:
-        """Adopt a new period (from ``Kernel._refresh_tunable_cache``,
-        which runs inside ``Tunables.set``).  An armed timer reads the
-        period at fire time, so parked timers walk with the *old* one up
-        to the change instant before adopting the new one."""
-        if interval == self.interval:
-            return
-        if self.parked:
-            now = self.kernel.sim.now
-            for i in self._parked_timers():
-                self._walk(i, now, False)
-        self.interval = interval

@@ -77,13 +77,8 @@ class RTClass(SchedClass):
 
     def __init__(self, kernel) -> None:
         super().__init__(kernel)
-        kernel.tunables.subscribe(self._refresh_tunable_cache)
-
-    def _refresh_tunable_cache(self) -> None:
-        """Cache the RR slice / tick knobs read on every pick and tick."""
-        get = self.kernel.tunables.get
-        self._rr_timeslice = get("kernel/sched_rr_timeslice")
-        self._tick_period = get("kernel/tick_period")
+        self._rr_timeslice = kernel.tunables.sched_rr_timeslice
+        self._tick_period = kernel.tunables.tick_period
 
     def create_queue(self) -> RTQueue:
         return RTQueue()

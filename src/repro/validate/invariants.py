@@ -229,8 +229,8 @@ class KernelOracles:
             self._fail(
                 f"detector applied priority {priority} to {task!r} while FROZEN"
             )
-        lo = self.kernel.tunables.get("hpcsched/min_prio")
-        hi = self.kernel.tunables.get("hpcsched/max_prio")
+        lo = self.kernel.tunables.min_prio
+        hi = self.kernel.tunables.max_prio
         if not lo <= priority <= hi:
             self._fail(
                 f"detector priority {priority} outside [{lo}, {hi}] for {task!r}"

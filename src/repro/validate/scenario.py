@@ -257,9 +257,7 @@ def build_kernel_run(
         chips=scenario.chips, cores_per_chip=scenario.cores_per_chip
     )
     machine = Machine(topology, perf_model or TableDrivenModel())
-    tunables = Tunables()
-    tunables.set("kernel/context_switch_cost", 0.0)
-    kernel = Kernel(machine=machine, tunables=tunables)
+    kernel = Kernel(machine=machine, tunables=Tunables(context_switch_cost=0.0))
 
     group_sizes: Dict[int, int] = {}
     for spec in scenario.tasks:

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.common import build_kernel
 from repro.kernel.core_sched import Kernel
 from repro.kernel.syscalls import Compute, Sleep
+from repro.kernel.tunables import Tunables
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import CPU_BOUND, TableDrivenModel
 from repro.trace.collector import TraceCollector
@@ -33,6 +34,12 @@ def quiet_kernel() -> Kernel:
     """A kernel without tracing (cheaper)."""
     machine = Machine(MachineTopology(), TableDrivenModel())
     return Kernel(machine=machine)
+
+
+def tuned_kernel(**knobs) -> Kernel:
+    """A kernel without tracing, built with a custom tunables record."""
+    machine = Machine(MachineTopology(), TableDrivenModel())
+    return Kernel(machine=machine, tunables=Tunables(**knobs))
 
 
 def compute_sleep_program(iterations: int, work: float, pause: float = 0.01):

@@ -104,10 +104,9 @@ def test_until_cuts_run_short():
 def test_custom_tunables_flow_through():
     from repro.kernel.tunables import Tunables
 
-    tun = Tunables()
-    tun.set("hpcsched/max_prio", 5)
     res = run_experiment(
-        MetBench(iterations=4), "uniform", tunables=tun, keep_trace=True
+        MetBench(iterations=4), "uniform", tunables=Tunables(max_prio=5),
+        keep_trace=True,
     )
     for hist in res.priority_history.values():
         for _, prio in hist:

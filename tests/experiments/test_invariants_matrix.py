@@ -43,8 +43,8 @@ def test_run_invariants(wl_name, factory, scheduler):
 
     # 4. hardware priorities within the HPCSched window (dynamic runs)
     if scheduler != "cfs":
-        lo = kernel.tunables.get("hpcsched/min_prio")
-        hi = kernel.tunables.get("hpcsched/max_prio")
+        lo = kernel.tunables.min_prio
+        hi = kernel.tunables.max_prio
         for hist in res.priority_history.values():
             for _, prio in hist:
                 assert lo <= prio <= hi

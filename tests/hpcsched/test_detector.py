@@ -258,13 +258,3 @@ def test_unknown_task_wakeup_ignored(quiet_kernel):
     t = k.create_task("t", pure_compute_program(1.0))
     det.on_wait_wakeup(t)  # not registered: no crash
     assert det.priority_changes == 0
-
-
-def test_application_balanced_helper(quiet_kernel):
-    env = _Env(quiet_kernel)
-    a, b = env.tasks
-    assert not env.detector.application_balanced()
-    env.round([0.95, 0.93])
-    assert env.detector.application_balanced()
-    env.round([0.95, 0.2])
-    assert not env.detector.application_balanced()

@@ -53,8 +53,8 @@ def test_priorities_always_in_window_and_state_valid(
         detector.task_added(t)
         tasks.append(t)
 
-    lo = kernel.tunables.get("hpcsched/min_prio")
-    hi = kernel.tunables.get("hpcsched/max_prio")
+    lo = kernel.tunables.min_prio
+    hi = kernel.tunables.max_prio
     for round_utils in rounds:
         drive(kernel, detector, tasks, [round_utils[:n_tasks]])
         # invariant 1: priorities never escape the window

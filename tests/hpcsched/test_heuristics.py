@@ -1,19 +1,20 @@
-"""Heuristic decision-rule tests (bands, weighting, step mode)."""
+"""Heuristic decision-rule tests (bands, weighting, custom records)."""
 
 import pytest
 
 from repro.hpcsched.detector import HPCTaskStats, LoadImbalanceDetector
-from repro.hpcsched.heuristics import (
-    AdaptiveHeuristic,
-    StaticPriorities,
-    UniformHeuristic,
-)
+from repro.hpcsched.heuristics import AdaptiveHeuristic, UniformHeuristic
 from repro.hpcsched.mechanism import NullMechanism
-from tests.conftest import pure_compute_program
+from tests.conftest import pure_compute_program, tuned_kernel
 
 
 def make_detector(kernel, heuristic):
     return LoadImbalanceDetector(kernel, heuristic, NullMechanism())
+
+
+def tuned_detector(heuristic, **knobs):
+    """A detector on a kernel built with a custom tunables record."""
+    return make_detector(tuned_kernel(**knobs), heuristic)
 
 
 def make_stats(history, durations=None):
@@ -77,10 +78,8 @@ def test_adaptive_weights_recent_history(quiet_kernel, task):
     assert det.heuristic.decide(det, task, st) == 6
 
 
-def test_adaptive_g1_behaves_like_uniform_mean(quiet_kernel, task):
-    quiet_kernel.tunables.set("hpcsched/adaptive_g", 1.0)
-    quiet_kernel.tunables.set("hpcsched/adaptive_l", 0.0)
-    det = make_detector(quiet_kernel, AdaptiveHeuristic())
+def test_adaptive_g1_behaves_like_uniform_mean(task):
+    det = tuned_detector(AdaptiveHeuristic(), adaptive_g=1.0, adaptive_l=0.0)
     st = make_stats([0.2] * 10 + [1.0])
     assert det.heuristic.decide(det, task, st) == 4
 
@@ -91,39 +90,18 @@ def test_adaptive_first_iteration_uses_last(quiet_kernel, task):
     assert det.heuristic.decide(det, task, st) == 6
 
 
-def test_step_mode_moves_one_level(quiet_kernel, task):
-    quiet_kernel.tunables.set("hpcsched/prio_step_mode", "step")
-    det = make_detector(quiet_kernel, UniformHeuristic())
-    st = make_stats([0.95])
-    task.hw_priority = 4
-    assert det.heuristic.decide(det, task, st) == 5
-
-
-def test_custom_bands_respected(quiet_kernel, task):
-    quiet_kernel.tunables.set("hpcsched/high_util", 50.0)
-    det = make_detector(quiet_kernel, UniformHeuristic())
+def test_custom_bands_respected(task):
+    det = tuned_detector(UniformHeuristic(), low_util=40.0, high_util=50.0)
     st = make_stats([0.6])
     assert det.heuristic.decide(det, task, st) == 6
 
 
-def test_custom_priority_range(quiet_kernel, task):
-    quiet_kernel.tunables.set("hpcsched/max_prio", 5)
-    quiet_kernel.tunables.set("hpcsched/min_prio", 3)
-    det = make_detector(quiet_kernel, UniformHeuristic())
+def test_custom_priority_range(task):
+    det = tuned_detector(UniformHeuristic(), min_prio=3, max_prio=5)
     assert det.heuristic.decide(det, task, make_stats([0.95])) == 5
     assert det.heuristic.decide(det, task, make_stats([0.2])) == 3
-
-
-def test_static_priorities_by_name(quiet_kernel):
-    det = make_detector(quiet_kernel, StaticPriorities({"t": 6}))
-    t = quiet_kernel.create_task("t", pure_compute_program(1.0))
-    other = quiet_kernel.create_task("x", pure_compute_program(1.0))
-    st = make_stats([0.5])
-    assert det.heuristic.decide(det, t, st) == 6
-    assert det.heuristic.decide(det, other, st) is None
 
 
 def test_heuristic_names():
     assert UniformHeuristic().name == "uniform"
     assert AdaptiveHeuristic().name == "adaptive"
-    assert StaticPriorities({}).name == "static"

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.hpcsched.mechanism import NullMechanism, POWER5Mechanism
-from repro.kernel import Kernel
+from repro.kernel import Compute, Kernel
+from repro.power5.machine import Machine, MachineTopology
+from repro.power5.perfmodel import TableDrivenModel
 from repro.power5.priorities import PriorityError
 from tests.conftest import pure_compute_program
 
@@ -41,12 +43,33 @@ def test_null_mechanism_records_without_effect(quiet_kernel):
     t = k.spawn("t", pure_compute_program(1.0), cpu=0)
     k.sim.run(until=0.01)
     mech = NullMechanism()
-    assert not mech.effective
     mech.apply(k, t, 6)
     assert t.hw_priority == 6
     # the hardware context was NOT touched
     assert int(k.machine.context(0).priority) == 4
 
 
+def _sibling_finish_times(mech):
+    """Two equal computations on the SMT siblings of one core; ``mech``
+    raises the first to priority 6 mid-run.  Returns both finish times."""
+    k = Kernel(machine=Machine(MachineTopology(), TableDrivenModel()))
+    finished = {}
+
+    def prog(name):
+        yield Compute(0.5)
+        finished[name] = k.now
+
+    a = k.spawn("a", prog("a"), cpu=0, cpus_allowed=[0])
+    k.spawn("b", prog("b"), cpu=1, cpus_allowed=[1])
+    k.sim.at(0.01, lambda: mech.apply(k, a, 6), priority=1)
+    k.run()
+    return finished["a"], finished["b"]
+
+
 def test_power5_mechanism_is_effective():
-    assert POWER5Mechanism().effective
+    # POWER5 biases the core toward the raised sibling; Null records the
+    # priority and changes nothing.
+    a, b = _sibling_finish_times(POWER5Mechanism())
+    assert a < b
+    a, b = _sibling_finish_times(NullMechanism())
+    assert a == b

@@ -7,7 +7,7 @@ from repro.hpcsched import attach_hpcsched, UniformHeuristic
 from repro.kernel import Compute, Kernel, SchedPolicy, Sleep
 from repro.kernel.policies import TaskState
 from repro.kernel.syscalls import SetScheduler
-from tests.conftest import pure_compute_program
+from tests.conftest import pure_compute_program, tuned_kernel
 
 
 def hpc_kernel(quiet_kernel):
@@ -90,24 +90,13 @@ def test_hpc_wakeup_latency_near_zero_with_cfs_noise(quiet_kernel):
     assert h.max_wakeup_latency < 1e-4  # always preempts the CFS hog immediately
 
 
-def test_rr_rotation_between_hpc_tasks(quiet_kernel):
-    k, _ = hpc_kernel(quiet_kernel)
-    k.tunables.set("hpcsched/rr_timeslice", 0.01)
+def test_rr_rotation_between_hpc_tasks():
+    k, _ = hpc_kernel(tuned_kernel(hpc_rr_timeslice=0.01))
     a = hpc_spawn(k, "a", pure_compute_program(0.06), cpu=0)
     b = hpc_spawn(k, "b", pure_compute_program(0.06), cpu=0)
     k.run(until=0.05)
     assert a.sum_exec_runtime > 0.01
     assert b.sum_exec_runtime > 0.01
-
-
-def test_fifo_mode_runs_to_block(quiet_kernel):
-    k, _ = hpc_kernel(quiet_kernel)
-    k.tunables.set("hpcsched/policy_mode", "fifo")
-    a = hpc_spawn(k, "a", pure_compute_program(0.06), cpu=0)
-    b = hpc_spawn(k, "b", pure_compute_program(0.06), cpu=0)
-    k.run(until=0.02)
-    # FIFO: a runs to completion first, b starved meanwhile
-    assert b.sum_exec_runtime == 0.0
 
 
 def test_no_wakeup_preemption_within_hpc(quiet_kernel):

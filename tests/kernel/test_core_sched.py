@@ -274,7 +274,7 @@ def test_migrate_running_task(quiet_kernel):
     machine = Machine(MachineTopology(), TableDrivenModel())
     control = Kernel(machine=machine)
     control.spawn("a", pure_compute_program(0.5), cpu=0)
-    cs = k.tunables.get("kernel/context_switch_cost")
+    cs = k.tunables.context_switch_cost
     assert end == pytest.approx(control.run() + cs, rel=1e-9)
 
 

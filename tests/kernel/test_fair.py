@@ -61,7 +61,7 @@ def test_sleeper_gets_bounded_credit(quiet_kernel):
 
     sleeper = k.spawn("sleeper", sleeper_prog(), cpu=0, cpus_allowed=[0])
     k.run(until=1.5)
-    latency = k.tunables.get("kernel/sched_latency")
+    latency = k.tunables.sched_latency
     # after waking, the sleeper's vruntime is within one latency of the hog's
     assert sleeper.vruntime >= hog.vruntime - latency - 1e-6
 

@@ -9,8 +9,6 @@ a balance round:
 * witness invalidated at the *exact* instant of an elided balance fire
   (both same-instant orderings: invalidator before and after the
   fire),
-* a tunable interval change delivered in the same batched instant as
-  the witness-breaking event,
 * balance-timer re-arm after ``migrate()`` of a RUNNING task,
   including under the detector heuristic,
 * a kernel whose parked timers outlive its last task and revive when
@@ -65,7 +63,7 @@ def _balance_points(k, cpu, count):
     """The first ``count`` serial balance-fire instants of ``cpu``'s
     timer, by the same float arithmetic the kernel uses (anchored at the
     first start_task, assumed to happen at t=0)."""
-    interval = k.tunables.get("kernel/loadbalance_interval")
+    interval = k.tunables.loadbalance_interval
     n = len(k.machine.cpu_ids)
     i = k.machine.cpu_ids.index(cpu)
     t = interval * (i + 1) / (n + 1)
@@ -162,59 +160,7 @@ def test_witness_broken_exactly_on_chain_point(prio):
 
 
 # ----------------------------------------------------------------------
-# Race 2: tunable interval change in a batched same-instant group
-# ----------------------------------------------------------------------
-def test_interval_change_and_unpark_in_same_instant_batch():
-    # At one instant, in one batch: (a) the balance interval is retimed
-    # while every timer is parked, then (b) the witness breaks.  The
-    # re-arm walk must use the old interval up to the change instant
-    # and the new one after — exactly like the stock timer, which reads
-    # the tunable at each fire.
-    def scenario(k):
-        for cpu in k.machine.cpu_ids:
-            k.spawn(f"hog{cpu}", _hog(3.0), cpu=cpu)
-        t = 0.1
-
-        def retune():
-            k.tunables.set("kernel/loadbalance_interval", 0.016)
-
-        def pile_on():
-            k.spawn("x0", _hog(1.0), cpu=0)
-            k.spawn("x1", _hog(1.0), cpu=0)
-
-        k.sim.at(t, retune, priority=2)
-        k.sim.at(t, pile_on, priority=3)
-
-    on, off = twin_run(scenario)
-    assert on.migrations == off.migrations > 0
-    assert on.sim.events_processed < off.sim.events_processed
-
-
-def test_interval_change_while_parked_then_later_unpark():
-    # Retime and unpark at *different* instants: parked anchors must be
-    # walked with the old interval up to the change, then the new one.
-    # The hogs are pinned, so the timers are born parked and three of
-    # the four anchors still lie before the change instant.
-    def scenario(k):
-        for cpu in k.machine.cpu_ids:
-            k.spawn(f"hog{cpu}", _hog(3.0), cpu=cpu, cpus_allowed=[cpu])
-
-        def retune():
-            k.tunables.set("kernel/loadbalance_interval", 0.256)
-
-        def pile_on():
-            k.spawn("x0", _hog(1.0), cpu=0)
-            k.spawn("x1", _hog(1.0), cpu=0)
-
-        k.sim.at(0.05, retune, priority=2)
-        k.sim.at(0.9, pile_on, priority=1)
-
-    on, off = twin_run(scenario)
-    assert on.migrations == off.migrations > 0
-
-
-# ----------------------------------------------------------------------
-# Race 3: re-arm after migrate() of a RUNNING task
+# Race 2: re-arm after migrate() of a RUNNING task
 # ----------------------------------------------------------------------
 def test_balance_rearm_after_migrating_running_task():
     # All timers parked (queued == 0).  migrate() of a RUNNING task onto

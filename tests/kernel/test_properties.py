@@ -66,7 +66,7 @@ def test_random_populations_conserve_work_and_terminate(tasks):
         kernel.pmu.context_counters(c).work_done
         for c in kernel.machine.cpu_ids
     )
-    cs_cost = kernel.tunables.get("kernel/context_switch_cost")
+    cs_cost = kernel.tunables.context_switch_cost
     slack = kernel.context_switches * cs_cost * 2.2 + 1e-9
     assert submitted - 1e-9 <= retired <= submitted + slack
 

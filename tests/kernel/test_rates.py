@@ -257,7 +257,7 @@ def test_sleep_then_resume_keeps_remaining_work(quiet_kernel):
     end = k.run()
     # total work on cpu0 = 0.13 + 0.05, all in ST mode, plus two context
     # switches' costs (charged as wall time, not work)
-    cs = k.tunables.get("kernel/context_switch_cost")
+    cs = k.tunables.context_switch_cost
     expected = (0.13 + 0.05) / ST
     assert end == pytest.approx(expected, rel=1e-3)
     assert hog.sum_exec_runtime + 0.05 / ST == pytest.approx(end, rel=1e-3)

@@ -5,7 +5,7 @@ import pytest
 from repro.kernel import Compute, Kernel, SchedPolicy, Sleep
 from repro.kernel.policies import TaskState
 from repro.kernel.rt import RTQueue
-from tests.conftest import pure_compute_program
+from tests.conftest import pure_compute_program, tuned_kernel
 
 
 def rt_task(kernel, name, prog, prio, cpu=0):
@@ -86,9 +86,8 @@ def test_rt_never_preempted_by_cfs_wakeup(quiet_kernel):
     assert n.max_wakeup_latency > 0.05
 
 
-def test_rr_timeslices_rotate(quiet_kernel):
-    k = quiet_kernel
-    k.tunables.set("kernel/sched_rr_timeslice", 0.01)
+def test_rr_timeslices_rotate():
+    k = tuned_kernel(sched_rr_timeslice=0.01)
     a = k.spawn("a", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
                 policy=SchedPolicy.RR, rt_priority=10)
     b = k.spawn("b", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
@@ -99,9 +98,8 @@ def test_rr_timeslices_rotate(quiet_kernel):
     assert b.sum_exec_runtime > 0.01
 
 
-def test_rr_respects_priority_over_rotation(quiet_kernel):
-    k = quiet_kernel
-    k.tunables.set("kernel/sched_rr_timeslice", 0.01)
+def test_rr_respects_priority_over_rotation():
+    k = tuned_kernel(sched_rr_timeslice=0.01)
     hi = k.spawn("hi", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
                  policy=SchedPolicy.RR, rt_priority=50)
     lo = k.spawn("lo", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],

@@ -13,7 +13,7 @@ def test_single_task_runs_tickless(quiet_kernel):
     k = quiet_kernel
     k.spawn("t", pure_compute_program(10.0), cpu=0)
     end = k.run()
-    balance_budget = 4 * end / k.tunables.get("kernel/loadbalance_interval")
+    balance_budget = 4 * end / k.tunables.loadbalance_interval
     assert k.sim.events_processed < balance_budget + 100
     assert k.sim.events_processed < 1000  # << 4800 ticks
 

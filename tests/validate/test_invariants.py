@@ -325,7 +325,7 @@ def test_on_priority_apply_rejects_frozen_action(oracles):
 
 def test_on_priority_apply_rejects_out_of_range(oracles):
     task = oracles.kernel.spawn("t", iter(()), cpu=0)
-    hi = oracles.kernel.tunables.get("hpcsched/max_prio")
+    hi = oracles.kernel.tunables.max_prio
     with pytest.raises(InvariantViolation, match="outside"):
         oracles.on_priority_apply(_detector("adjusting"), task, hi + 1)
 
