@@ -12,7 +12,7 @@ and everything it stands on are rebuilt in pure Python:
   arbitration, performance models, topology,
 * :mod:`repro.kernel`    — Linux 2.6.24-style scheduler framework
   (scheduler core, RT class, CFS with a vruntime-ordered timeline,
-  idle class, domains, load balancing, tunables),
+  idle class, tunables; each task runs on the CPU it was started on),
 * :mod:`repro.hpcsched`  — the paper's HPCSched: SCHED_HPC class, Load
   Imbalance Detector, Uniform/Adaptive heuristics, POWER5 mechanism,
 * :mod:`repro.mpi`       — simulated MPI runtime (p2p, waitall,

@@ -142,11 +142,7 @@ class Cluster:
             self._rank_node[rank] = slot.node
             mpi = MPIRank(self.runtime, rank)
             name = names[rank] if names else f"rank{rank}"
-            task = node.kernel.create_task(
-                name,
-                perf_profile=profile,
-                cpus_allowed=[slot.cpu],
-            )
+            task = node.kernel.create_task(name, perf_profile=profile)
             task.program = self._wrap(factory, mpi) if self.use_hpc else factory(mpi)
             task.on_exit = self._exit_recorder(rank)
             self.runtime.bind(rank, task, kernel=node.kernel)

@@ -54,10 +54,8 @@ def measure_pair(
         while True:
             yield Compute(10.0)
 
-    a = kernel.spawn("A", busy(), cpu=0, cpus_allowed=[0],
-                     perf_profile=profile)
-    b = kernel.spawn("B", busy(), cpu=1, cpus_allowed=[1],
-                     perf_profile=profile)
+    a = kernel.spawn("A", busy(), cpu=0, perf_profile=profile)
+    b = kernel.spawn("B", busy(), cpu=1, perf_profile=profile)
     kernel.set_hw_priority(a, prio_a)
     kernel.set_hw_priority(b, prio_b)
     end = kernel.run(until=duration)

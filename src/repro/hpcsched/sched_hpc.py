@@ -17,7 +17,7 @@ wait starts a wait phase, waking from one closes an iteration.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.hpcsched.detector import LoadImbalanceDetector
 from repro.hpcsched.heuristics import Heuristic, UniformHeuristic
@@ -107,10 +107,6 @@ class HPCSchedClass(SchedClass):
     def needs_tick(self, rq: "RunQueue", task: "Task") -> bool:
         q = rq.class_queues.get(self.name)
         return q is not None and len(q.tasks) > 0
-
-    def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
-        # Back of the round-robin list first: least disruption.
-        return list(rq.class_queues[self.name].tasks)[::-1]
 
     # ------------------------------------------------------------------
     # Detector integration

@@ -11,9 +11,9 @@ scheduler the paper's HPCSched is defined against (paper §III):
   keyed by virtual runtime, nice-weight table, sched_latency /
   min_granularity / wakeup_granularity semantics,
 * the **idle class** (:mod:`repro.kernel.idlecls`),
-* per-CPU run queues, scheduling domains derived from the machine
-  topology, an idle-pull + periodic load balancer, a tickless (NOHZ-style)
-  timer tick, per-task wakeup-latency accounting and the frozen per-run
+* per-CPU run queues (a task runs on the CPU it was started on: there
+  is no load balancer and no migration), a tickless (NOHZ-style) timer
+  tick, per-task wakeup-latency accounting and the frozen per-run
   :class:`~repro.kernel.tunables.Tunables` record.
 
 Tasks are Python generators yielding request objects (compute, sleep,
@@ -29,7 +29,6 @@ from repro.kernel.syscalls import (
     Compute,
     Sleep,
     SetScheduler,
-    SetAffinity,
     SetNice,
     YieldCPU,
     Exit,
@@ -44,7 +43,6 @@ __all__ = [
     "Compute",
     "Sleep",
     "SetScheduler",
-    "SetAffinity",
     "SetNice",
     "YieldCPU",
     "Exit",

@@ -3,10 +3,11 @@
 The core walks an ordered list of scheduling classes to find the next
 task; the order (real-time > [HPC] > fair > idle) provides the implicit
 prioritization the paper's Figure 1 shows.  On top of the classic
-scheduler duties (wakeups, preemption, ticks, load balancing, context
-switches) this module also *executes* the tasks: programs are Python
-generators yielding requests, and compute phases progress at a fluid
-rate determined by the POWER5 SMT state of the core they run on.
+scheduler duties (wakeups, preemption, ticks, context switches) this
+module also *executes* the tasks: programs are Python generators
+yielding requests, and compute phases progress at a fluid rate
+determined by the POWER5 SMT state of the core they run on.  A task
+runs on the CPU it was started on for its whole life.
 
 Rates change only at discrete events — a context switch on either SMT
 context, a hardware-priority change, a sibling going idle — and each
@@ -26,11 +27,10 @@ stale delivery.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Generator, Iterable, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.kernel.fair import FairClass
 from repro.kernel.idlecls import IdleClass
-from repro.kernel.loadbalance import EVPRIO_BALANCE, LoadBalancer
 from repro.kernel.policies import SchedPolicy, TaskState
 from repro.kernel.rt import RTClass
 from repro.kernel.runqueue import RunQueue
@@ -54,7 +54,6 @@ EVPRIO_PHASE = 0
 EVPRIO_WAKEUP = 1
 EVPRIO_TICK = 2
 EVPRIO_RESCHED = 5
-# EVPRIO_BALANCE (6, the last) is imported above from the balance timers.
 
 #: Work remainders below this are treated as completed (float dust).
 _WORK_EPSILON = 1e-12
@@ -123,16 +122,11 @@ class Kernel:
         sim: Optional[Simulator] = None,
         tunables: Optional[Tunables] = None,
         trace: Optional[Any] = None,
-        fastforward: bool = True,
     ) -> None:
         self.sim = sim or Simulator()
         self.machine = machine or Machine()
         self.tunables = tunables = tunables or DEFAULT_TUNABLES
         self.trace = trace
-        #: Balance fires that can move nothing are skipped (the timers
-        #: park, see repro.kernel.loadbalance).  ``False`` keeps every
-        #: timer armed: the non-eliding reference.
-        self.fastforward = fastforward
 
         #: Scheduling classes in priority order, filled below and by
         #: register_class; each run queue builds a class's queue from it
@@ -157,7 +151,6 @@ class Kernel:
         self._resched_batch = batch
         self._cs_cost = tunables.context_switch_cost
         self._tick_period = tunables.tick_period
-        self.balancer = LoadBalancer(self)
 
         #: Simulated performance counters (decode shares, ST time, ...),
         #: built lazily on first access: counters start at zero and the
@@ -200,19 +193,7 @@ class Kernel:
         #: uses it to keep an O(1) aggregate stop predicate instead of
         #: scanning every node's kernel after every event.
         self.on_live_change: Optional[Any] = None
-        #: Tasks queued on any runqueue (sum of ``rq.nr_queued``); lets
-        #: the balance timer and the idle-pull path skip whole-machine
-        #: scans when nothing is waiting anywhere.
-        self._queued_total = 0
-        #: Started-and-not-exited tasks whose CPU mask permits more than
-        #: one CPU.  While zero, no load-balance pull can ever move a
-        #: task (``_steal`` requires ``task.allows_cpu(dst)`` for a
-        #: second CPU), so periodic balance rounds are provably inert:
-        #: the balance timers park on that census, and the 0 → 1 edge
-        #: unparks them.
-        self._migratable = 0
         self.context_switches = 0
-        self.migrations = 0
         #: Cores whose SMT state changed during the event being
         #: processed, keyed by core id → (core, skip_ctx); drained once
         #: per delivered event via ``Simulator.defer``.
@@ -279,7 +260,6 @@ class Kernel:
         nice: int = 0,
         rt_priority: int = 0,
         perf_profile: PerfProfile = CPU_BOUND,
-        cpus_allowed: Optional[Iterable[int]] = None,
         daemon: bool = False,
     ) -> Task:
         """Allocate a task descriptor (not yet runnable)."""
@@ -291,7 +271,6 @@ class Kernel:
             nice=nice,
             rt_priority=rt_priority,
             perf_profile=perf_profile,
-            cpus_allowed=cpus_allowed,
         )
         self._next_pid += 1
         task.daemon = daemon
@@ -299,33 +278,32 @@ class Kernel:
         return task
 
     def start_task(self, task: Task, cpu: Optional[int] = None) -> None:
-        """Make a NEW task runnable (fork + wake_up_new_task)."""
+        """Make a NEW task runnable on ``cpu`` (fork + wake_up_new_task).
+
+        A task runs on the CPU it was started on for its whole life:
+        there is no migration, so the caller names the CPU.
+        """
         if task.state != _NEW:
             raise ValueError(f"{task!r} already started")
+        rq = self.rqs.get(cpu)
+        if rq is None:
+            raise ValueError(
+                f"task {task.name!r} (pid {task.pid}) needs a CPU of this "
+                f"machine {self.machine.cpu_ids}, got {cpu!r}"
+            )
         task.sched_class = self.class_for_policy(task.policy)
-        if cpu is None:
-            cpu = self.balancer.select_cpu(task)
-        elif not task.allows_cpu(cpu):
-            raise ValueError(f"{task!r} not allowed on cpu{cpu}")
         task.state = _READY
         task.state_since = self.sim.now
-        task.sched_class.task_new(self.rqs[cpu], task)
+        task.sched_class.task_new(rq, task)
         if not task.daemon:
             self.live_tasks += 1
-            if self.live_tasks == 1:
-                self.balancer.revive()
             if self.on_live_change is not None:
                 self.on_live_change(1)
-        mask = task.cpus_allowed
-        if mask is None or len(mask) > 1:
-            self._migratable += 1
-            if self._migratable == 1:
-                self.balancer.unpark()
         if self.trace is not None:
             self._trace(task, "wake", cpu=cpu)
-        self._enqueue(task, cpu, wakeup=False)
+        task.cpu = cpu
+        self._enqueue(task)
         self._check_preempt(cpu, task)
-        self.balancer.start()
 
     def spawn(self, name: str, program: Generator, **kwargs) -> Task:
         """create_task + start_task in one call."""
@@ -349,13 +327,8 @@ class Kernel:
         rq.current = None
         if not task.daemon:
             self.live_tasks -= 1
-            if self.live_tasks == 0:
-                self.balancer.mark_dead()
             if self.on_live_change is not None:
                 self.on_live_change(-1)
-        mask = task.cpus_allowed
-        if mask is None or len(mask) > 1:
-            self._migratable -= 1
         if task.on_exit is not None:
             task.on_exit(task)
         self.__schedule(cpu)
@@ -373,42 +346,16 @@ class Kernel:
         task.state = _READY
         task.sum_wait_time += self.sim.now - task.state_since
         task.state_since = self.sim.now
-        cpu = self._select_wake_cpu(task)
+        cpu = task.cpu
         task.wakeup_pending = True
         # The class hook runs before the task is queued so the HPC
         # detector can adjust hardware priorities for the new iteration.
         task.sched_class.on_wakeup(task)
         if self.trace is not None:
             self._trace(task, "wake", cpu=cpu)
-        self._enqueue(task, cpu, wakeup=True)
+        self._enqueue(task)
         self._check_preempt(cpu, task)
         return True
-
-    def _select_wake_cpu(self, task: Task) -> int:
-        """Wake placement: the previous CPU if it is free (cache-affine,
-        and what keeps one MPI rank per CPU stable); otherwise the
-        topologically nearest idle allowed CPU (select_idle_sibling);
-        otherwise stay on the previous CPU and queue."""
-        prev = task.cpu
-        mask = task.cpus_allowed
-        if mask is not None and len(mask) == 1 and prev in mask:
-            return prev  # pinned: no other CPU to consider
-        if prev is not None and task.allows_cpu(prev):
-            rq = self.rqs[prev]
-            cur = rq.current
-            if rq.nr_queued == 0 and (cur is None or cur.is_idle_task):
-                return prev
-        elif prev is None or not task.allows_cpu(prev):
-            return self.balancer.select_cpu(task, prefer=prev)
-        candidates = [
-            c
-            for c in self.machine.cpu_ids
-            if c != prev and task.allows_cpu(c) and self.rqs[c].nr_running == 0
-        ]
-        if candidates:
-            hier = self.balancer.hierarchy
-            return min(candidates, key=lambda c: (hier.distance(prev, c), c))
-        return prev
 
     def _block_current(self, cpu: int, task: Task, req: KernelRequest) -> None:
         rq = self.rqs[cpu]
@@ -428,17 +375,14 @@ class Kernel:
         self.__schedule(cpu)
 
     # ------------------------------------------------------------------
-    # Enqueue / dequeue / migration
+    # Enqueue / dequeue
     # ------------------------------------------------------------------
-    def _enqueue(self, task: Task, cpu: int, wakeup: bool) -> None:
+    def _enqueue(self, task: Task) -> None:
+        cpu = task.cpu
         rq = self.rqs[cpu]
-        task.cpu = cpu
         task.sched_class.task_placed(rq, task)
         task.sched_class.enqueue_task(rq, task)
         rq.nr_queued += 1
-        self._queued_total += 1
-        if self._queued_total == 1 and self._migratable:
-            self.balancer.unpark()
         task.last_enqueue_time = self.sim.now
         self._update_tick(cpu)
 
@@ -447,71 +391,6 @@ class Kernel:
         rq = self.rqs[task.cpu]
         task.sched_class.dequeue_task(rq, task)
         rq.nr_queued -= 1
-        self._queued_total -= 1
-
-    def migrate(self, task: Task, dst: int) -> None:
-        """Move a READY or RUNNING task to another CPU's runqueue.
-
-        A queued task is simply dequeued and re-enqueued.  A running
-        task is switched out first — occupancy charged, phase progress
-        banked, completion event dropped — and its source CPU picks a
-        replacement *before* the task lands on ``dst``, so the source's
-        idle pull cannot immediately steal it back.
-        """
-        if not task.allows_cpu(dst):
-            raise ValueError(f"{task!r} not allowed on cpu{dst}")
-        if task.cpu == dst:
-            return
-        if task.state == _READY:
-            self._dequeue(task)
-        elif task.state == _RUNNING:
-            src = task.cpu
-            assert src is not None
-            rq = self.rqs[src]
-            assert rq.current is task
-            self.update_curr(rq)
-            task.bank_progress(self.sim.now)
-            task.cancel_phase_event()
-            task.state = _READY
-            task.sum_run_time += self.sim.now - task.state_since
-            task.state_since = self.sim.now
-            task.sched_class.put_prev_task(rq, task)
-            if self.trace is not None:
-                self._trace(task, "preempted", cpu=src)
-            rq.current = None
-            self._schedule(src)
-        else:
-            raise ValueError(
-                f"can only migrate READY or RUNNING tasks, not {task!r}"
-            )
-        self.migrations += 1
-        if self.trace is not None:
-            self._trace(task, "migrate", cpu=dst)
-        self._enqueue(task, dst, wakeup=False)
-        self._check_preempt(dst, task)
-
-    def set_affinity(self, task: Task, cpus: Optional[set]) -> None:
-        """Replace the task's CPU mask, migrating it off a now-forbidden
-        CPU (queued tasks immediately, running ones at reschedule)."""
-        old = task.cpus_allowed
-        task.cpus_allowed = set(cpus) if cpus is not None else None
-        if task.state not in (_NEW, _EXITED):
-            # Keep the migratable-task census exact across mask changes
-            # (started tasks were counted by start_task).
-            was = old is None or len(old) > 1
-            now = task.cpus_allowed is None or len(task.cpus_allowed) > 1
-            if now and not was:
-                self._migratable += 1
-                if self._migratable == 1:
-                    self.balancer.unpark()
-            elif was and not now:
-                self._migratable -= 1
-        if task.cpus_allowed is None:
-            return
-        if task.state == _READY and task.cpu not in task.cpus_allowed:
-            self.migrate(task, self.balancer.select_cpu(task))
-        elif task.state == _RUNNING and task.cpu not in task.cpus_allowed:
-            self.resched(task.cpu)  # moved off at the next reschedule
 
     # ------------------------------------------------------------------
     # Policy changes
@@ -536,7 +415,7 @@ class Kernel:
         self._trace(task, "setscheduler", policy=policy.name)
         if was_queued:
             assert task.cpu is not None
-            self._enqueue(task, task.cpu, wakeup=False)
+            self._enqueue(task)
             self._check_preempt(task.cpu, task)
         elif task.state == _RUNNING:
             assert task.cpu is not None
@@ -606,14 +485,12 @@ class Kernel:
         """Pick the best runnable task on ``cpu`` and switch to it."""
         rq = self.rqs[cpu]
         rq.need_resched = False
-        # Retire a still-pending batch entry: this direct path (exit/
-        # block/migrate) has done its work.
+        # Retire a still-pending batch entry: this direct path (exit or
+        # block) has done its work.
         rq.resched_event = None
         prev = rq.current
 
-        # A still-runnable prev (preemption path) goes back to its queue —
-        # or to an allowed CPU if its affinity mask no longer covers this
-        # one (sched_setaffinity while running).
+        # A still-runnable prev (preemption path) goes back to its queue.
         if prev is not None and prev.state == _RUNNING and not prev.is_idle_task:
             self.update_curr(rq)
             prev.bank_progress(self.sim.now)
@@ -624,27 +501,9 @@ class Kernel:
             prev.sched_class.put_prev_task(rq, prev)
             if self.trace is not None:
                 self._trace(prev, "preempted", cpu=cpu)
-            if prev.allows_cpu(cpu):
-                self._enqueue(prev, cpu, wakeup=False)
-            else:
-                dst = self.balancer.select_cpu(prev, prefer=cpu)
-                self.migrations += 1
-                self._enqueue(prev, dst, wakeup=False)
-                self._check_preempt(dst, prev)
+            self._enqueue(prev)
 
         next_task = self._pick_next(rq)
-        # With no migratable task anywhere, _steal can move nothing
-        # (the same census that parks the balance timers, DESIGN §12).
-        if (
-            next_task.is_idle_task
-            and rq.nr_queued == 0
-            and self._queued_total
-            and self._migratable
-        ):
-            pulled = self.balancer.idle_pull(cpu)
-            if pulled is not None:
-                next_task = self._pick_next(rq)
-
         same = next_task is prev
         rq.current = next_task
         if not same:
@@ -658,9 +517,9 @@ class Kernel:
     def _pick_next(self, rq: RunQueue) -> Task:
         if rq.nr_queued == 0:
             # ``nr_queued`` is the exact sum of the class queues (the
-            # only mutators are _enqueue/_dequeue/_pick_next and the
-            # balanced requeue), so every class is empty: fall through
-            # to the never-empty idle class directly.
+            # only mutators are _enqueue/_dequeue/_pick_next), so every
+            # class is empty: fall through to the never-empty idle class
+            # directly.
             task = self.idle_class.pick_next_task(rq)
             if task is not None:
                 return task
@@ -670,7 +529,6 @@ class Kernel:
                 if task is not None:
                     if not task.is_idle_task:
                         rq.nr_queued -= 1
-                        self._queued_total -= 1
                     return task
         raise RuntimeError("scheduler found no task (idle class broken)")
 
@@ -683,7 +541,6 @@ class Kernel:
 
         if task.is_idle_task:
             task.state = _RUNNING
-            task.cpu = cpu
             ctx.idle()
             self._rates_changed(ctx.core, skip_ctx=ctx)
             if rq.nr_queued:
@@ -691,7 +548,6 @@ class Kernel:
             return
 
         task.state = _RUNNING
-        task.cpu = cpu
         task.exec_start = now
         task.sum_ready_time += now - task.state_since
         task.state_since = now
@@ -741,7 +597,7 @@ class Kernel:
 
     def _phase_complete(self, cpu: int, task: Task, epoch: int) -> None:
         task.phase_event = None
-        if task.state != _RUNNING or task.cpu != cpu:
+        if task.state != _RUNNING:
             return  # stale event (defensive; cancels should prevent this)
         if epoch != task.phase_epoch:
             # The authoritative ETA moved later while this event rode in
@@ -787,11 +643,15 @@ class Kernel:
         the eager per-call skip because a context an earlier action
         switched out is no longer RUNNING by drain time and the state
         filter in :meth:`_drain_rate_changes` drops it.
+
+        The core is marked before the drain is deferred: outside a run
+        ``defer`` drains at once, and must find it.
         """
         dirty = self._dirty_cores
-        if not dirty:
-            self.sim.defer(self._drain_rate_changes)
+        first = not dirty
         dirty[core.core_id] = (core, skip_ctx)
+        if first:
+            self.sim.defer(self._drain_rate_changes)
 
     def _drain_rate_changes(self) -> None:
         """Rebase the phases of every dirty core's contexts (deferred

@@ -181,11 +181,6 @@ class FairClass(SchedClass):
         # The task returns to the timeline via the core's enqueue path.
         pass
 
-    def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
-        # Rightmost (least urgent) tasks are the cheapest to migrate.
-        q = rq.class_queues[self.name]
-        return [task for _, _, task in reversed(q.timeline)]
-
     # ------------------------------------------------------------------
     def _ideal_slice(self, rq: "RunQueue", task: "Task") -> float:
         latency = self._latency

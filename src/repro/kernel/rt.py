@@ -10,7 +10,7 @@ priority list when their time slice expires.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.kernel.policies import RT_POLICIES, SchedPolicy
 from repro.kernel.sched_class import SchedClass
@@ -133,11 +133,3 @@ class RTClass(SchedClass):
             return  # sched_yield: go to the tail of the priority list
         if task.policy == SchedPolicy.FIFO or task.rr_slice_left > 0.0:
             task._rt_requeue_head = True
-
-    def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
-        # Lowest-priority queued RT tasks are cheapest to migrate.
-        q = rq.class_queues[self.name]
-        out: List["Task"] = []
-        for prio in sorted(q.lists):
-            out.extend(q.lists[prio])
-        return out

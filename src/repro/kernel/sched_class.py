@@ -11,7 +11,7 @@ the paper exploits to add HPCSched without touching the other classes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Any, FrozenSet, Optional
 
 from repro.kernel.policies import SchedPolicy
 
@@ -70,12 +70,6 @@ class SchedClass(ABC):
         hint).  Default: tick only when someone is waiting."""
         return self.nr_queued(rq) > 0
 
-    # -- migration support --------------------------------------------
-    def pull_candidates(self, rq: "RunQueue") -> List["Task"]:
-        """Queued tasks eligible for migration off this CPU, in order of
-        preference (used by load balancing).  Default: none."""
-        return []
-
     # -- lifecycle hooks ----------------------------------------------
     def task_new(self, rq: "RunQueue", task: "Task") -> None:
         """Called when a task enters this class (fork or setscheduler)."""
@@ -90,7 +84,7 @@ class SchedClass(ABC):
         """``task`` (belonging to this class) was just woken."""
 
     def task_placed(self, rq: "RunQueue", task: "Task") -> None:
-        """Called right before enqueueing a woken/new/migrated task on
+        """Called right before enqueueing a woken or new task on
         ``rq`` (CFS renormalizes vruntime here)."""
 
     def put_prev_task(self, rq: "RunQueue", task: "Task") -> None:

@@ -16,7 +16,7 @@ issuing subsystem is then responsible for waking it).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING
 
 from repro.kernel.policies import (
     NICE_MAX,
@@ -118,17 +118,6 @@ class SetNice(KernelRequest):
 
     def execute(self, kernel: "Kernel", task: "Task") -> bool:
         task.nice = self.nice
-        return True
-
-
-class SetAffinity(KernelRequest):
-    """``sched_setaffinity()``: restrict the CPUs the task may use."""
-
-    def __init__(self, cpus: Optional[Iterable[int]]) -> None:
-        self.cpus = set(cpus) if cpus is not None else None
-
-    def execute(self, kernel: "Kernel", task: "Task") -> bool:
-        kernel.set_affinity(task, self.cpus)
         return True
 
 

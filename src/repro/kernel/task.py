@@ -9,7 +9,7 @@ the task to sleep until the owning subsystem wakes it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.kernel.policies import (
     NICE_MAX,
@@ -31,7 +31,7 @@ class Task:
     # ``__dict__`` would be a third of its heap.
     __slots__ = (
         "pid", "name", "program", "policy", "nice", "rt_priority",
-        "perf_profile", "cpus_allowed", "state", "cpu", "hw_priority",
+        "perf_profile", "state", "cpu", "hw_priority",
         "phase_label", "sum_exec_runtime", "exec_start", "vruntime",
         "rr_slice_left", "last_enqueue_time", "wakeup_pending", "daemon",
         "_sched_yield", "sleep_reason", "sleeping_on_wait", "phase_remaining",
@@ -52,7 +52,6 @@ class Task:
         nice: int = 0,
         rt_priority: int = 0,
         perf_profile: PerfProfile = CPU_BOUND,
-        cpus_allowed: Optional[Iterable[int]] = None,
     ) -> None:
         if not NICE_MIN <= nice <= NICE_MAX:
             raise ValueError(f"nice {nice} out of range")
@@ -63,16 +62,13 @@ class Task:
         self.nice = nice
         self.rt_priority = rt_priority
         self.perf_profile = perf_profile
-        self.cpus_allowed: Optional[Set[int]] = (
-            set(cpus_allowed) if cpus_allowed is not None else None
-        )
 
         self.state = TaskState.NEW
         #: Scheduling class, set when the task starts.
         self.sched_class: Any = None
         #: True only on the per-CPU idle tasks.
         self.is_idle_task = False
-        #: CPU the task last ran on / is queued on.
+        #: CPU the task was started on, and runs on for its whole life.
         self.cpu: Optional[int] = None
         #: POWER5 hardware thread priority restored on context switch.
         self.hw_priority: int = int(DEFAULT_PRIORITY)
@@ -159,10 +155,6 @@ class Task:
     @property
     def alive(self) -> bool:
         return self.state != TaskState.EXITED
-
-    def allows_cpu(self, cpu: int) -> bool:
-        """Whether the affinity mask permits running on ``cpu``."""
-        return self.cpus_allowed is None or cpu in self.cpus_allowed
 
     def state_times(self, end: float) -> Tuple[float, float, float]:
         """Running, ready and waiting time up to ``end``, the current

@@ -64,8 +64,6 @@ class Tunables:
     context_switch_cost: float = _knob(2e-6, _nonneg)
     #: Scheduler tick period (HZ=1000).
     tick_period: float = _knob(0.001, _pos)
-    #: Periodic load-balance interval per CPU.
-    loadbalance_interval: float = _knob(0.064, _pos)
     #: Utilization (%) at or above which a task is 'high utilization'.
     high_util: float = _knob(85.0, _pct)
     #: Utilization (%) at or below which a task is 'low utilization'.

@@ -11,8 +11,8 @@ background thread, single-thread mode).
 This package models exactly the pieces the paper's scheduler interacts
 with: the priority registers and their privilege rules (Table II), the
 decode-share arithmetic (Table I), the chip topology (chip -> core ->
-context) used to build scheduling domains, and pluggable performance
-models translating a decode share into a task execution rate.
+context) and pluggable performance models translating a decode share
+into a task execution rate.
 """
 
 from repro.power5.priorities import (

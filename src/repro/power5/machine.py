@@ -2,9 +2,8 @@
 
 The paper's testbed is an IBM OpenPower 710 with one POWER5 chip:
 2 cores x 2 SMT contexts = 4 logical CPUs.  :class:`Machine` builds that
-hierarchy (generalized to N chips) and derives the **scheduling domains**
-the Linux workload balancer operates on: context level (the 2 CPUs of a
-core), core level (the cores of a chip) and chip level (all chips).
+hierarchy, generalized to N chips.  Each task runs on the logical CPU it
+was started on, so the kernel needs no scheduling domains over it.
 """
 
 from __future__ import annotations
@@ -57,13 +56,12 @@ class Machine:
             for ctx in chip.contexts:
                 self._contexts[ctx.cpu_id] = ctx
         # Topology is immutable after construction; precompute the
-        # orderings that hot paths (wake placement, balancing, kernel
-        # construction) would otherwise re-derive per call.
+        # orderings that kernel construction and the PMU would otherwise
+        # re-derive per call.
         self._cpu_ids: tuple = tuple(sorted(self._contexts))
         self._cores: List[SMTCore] = [
             core for chip in self.chips for core in chip.cores
         ]
-        self._domains: Optional[Dict[str, List[List[int]]]] = None
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -80,46 +78,9 @@ class Machine:
         """The hardware context behind logical CPU ``cpu_id``."""
         return self._contexts[cpu_id]
 
-    def core_of(self, cpu_id: int) -> SMTCore:
-        """The physical core owning logical CPU ``cpu_id``."""
-        return self._contexts[cpu_id].core
-
-    def sibling_cpu(self, cpu_id: int) -> int:
-        """The other logical CPU of the same core."""
-        return self._contexts[cpu_id].sibling.cpu_id
-
     def cores(self) -> List[SMTCore]:
         """All physical cores, across chips, in id order."""
         return self._cores
-
-    # ------------------------------------------------------------------
-    # Scheduling domains
-    # ------------------------------------------------------------------
-    def domains(self) -> Dict[str, List[List[int]]]:
-        """CPU groups per domain level, ordered context < core < chip.
-
-        Each level maps to a list of *groups*; balancing a level means
-        equalizing runnable-task counts across the groups of that level
-        (paper §IV-A: "our workload balancer tries to balance the number
-        of tasks at each domain level").  Memoized: the topology is
-        frozen at construction.
-        """
-        if self._domains is not None:
-            return self._domains
-        context_level = [
-            [ctx.cpu_id for ctx in core.contexts] for core in self.cores()
-        ]
-        core_level = [
-            [ctx.cpu_id for core in chip.cores for ctx in core.contexts]
-            for chip in self.chips
-        ]
-        chip_level = [list(self._cpu_ids)]
-        self._domains = {
-            "context": context_level,
-            "core": core_level,
-            "chip": chip_level,
-        }
-        return self._domains
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         t = self.topology

@@ -43,7 +43,7 @@ class Simulator:
     ``run()`` is one loop for every configuration: a horizon, a
     ``stop_when`` predicate and the validation oracle are per-event or
     per-instant checks inside it, and the bookkeeping (clock, queue
-    counters, ``cur_event_prio``) is exact at every event boundary.
+    counters) is exact at every event boundary.
     """
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
@@ -54,10 +54,6 @@ class Simulator:
         self.events_processed = 0
         self._running = False
         self._stop_requested = False
-        #: Packed order of the event whose callback is currently
-        #: executing (``None`` outside a run); read through
-        #: :attr:`cur_event_prio`.
-        self._cur_order: Optional[int] = None
         #: Optional runtime oracle (repro.validate.invariants); receives
         #: every delivered event when validation is enabled.  Must be
         #: installed before :meth:`run` — the loop snapshots it.
@@ -69,17 +65,6 @@ class Simulator:
         #: The running loop's ``stop_when`` (read by :meth:`instant_boundary`).
         self._stop_when: Optional[Callable[[], bool]] = None
 
-    @property
-    def cur_event_prio(self) -> Optional[int]:
-        """Priority of the event whose callback is currently executing
-        (``None`` outside event delivery), set for every delivery.  The
-        load balancer's unpark walk uses it to order a parked timer's
-        fire that falls exactly on ``now`` as same-instant delivery
-        would have.  Stored packed (the delivering event's ``order``) so
-        the drain stores an int it already has."""
-        order = self._cur_order
-        return None if order is None else order // SEQ_SPAN
-
     def defer(self, fn: Callable[[], Any]) -> None:
         """Run ``fn`` once, at the current instant, after the event
         callback now executing returns (and before ``stop_when`` is
@@ -87,8 +72,15 @@ class Simulator:
         actions within one event would otherwise each repeat — e.g. the
         kernel coalesces per-core rate propagation this way.  Deferred
         functions may defer further work; everything drains before the
-        clock moves."""
-        self._deferred.append(fn)
+        clock moves.
+
+        Outside a run there is no event to wait for, so ``fn`` runs at
+        once (a driver acting between two :meth:`run` calls sees its
+        effect before the next event)."""
+        if self._running:
+            self._deferred.append(fn)
+        else:
+            fn()
 
     def _run_deferred(self) -> None:
         deferred = self._deferred
@@ -285,7 +277,6 @@ class Simulator:
                             )
                         if oracle is not None:
                             oracle.on_event(ev)
-                        self._cur_order = ev[0]
                         fn()
                         if deferred:
                             self._run_deferred()
@@ -330,7 +321,6 @@ class Simulator:
             self.events_processed = processed
             self._running = False
             self._stop_when = None
-            self._cur_order = None
             queue._draining = False
         return self.now
 

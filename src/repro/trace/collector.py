@@ -2,7 +2,7 @@
 
 Installed on the kernel as ``Kernel(trace=TraceCollector())``; receives
 every scheduler event, keeps the raw event stream for detailed analysis
-(iteration marks, migrations, priority changes, PARAVER export) and
+(iteration marks, priority changes, PARAVER export) and
 folds the state-changing events into per-task
 :class:`~repro.trace.records.TaskTimeline` objects.
 

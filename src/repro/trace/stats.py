@@ -1,4 +1,4 @@
-"""Trace statistics: %Comp, utilization, imbalance metrics.
+"""Trace statistics: %Comp and utilization.
 
 The paper's tables report, per process, the percentage of time spent
 computing (``% Comp``) and the application's total execution time; its
@@ -9,7 +9,7 @@ functions compute the same quantities from trace timelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.trace.collector import TraceCollector
 from repro.trace.records import State, TaskTimeline
@@ -82,16 +82,3 @@ def compute_stats(
         )
     return out
 
-
-def imbalance_spread(stats: Iterable[TaskStats]) -> float:
-    """Max-min spread of %Comp across tasks (percentage points)."""
-    vals = [s.pct_comp for s in stats]
-    return max(vals) - min(vals) if vals else 0.0
-
-
-def imbalance_factor(stats: Iterable[TaskStats]) -> float:
-    """Classic load-imbalance metric: max(compute) / mean(compute)."""
-    vals: List[float] = [s.running for s in stats]
-    if not vals or sum(vals) == 0:
-        return 1.0
-    return max(vals) / (sum(vals) / len(vals))

@@ -298,7 +298,6 @@ def build_kernel_run(
             spec.name,
             program=make_program(spec, log),
             perf_profile=profile_by_name(spec.profile),
-            cpus_allowed=[spec.cpu],
         )
         task.hw_priority = spec.hw_priority
         if mutate_task is not None:

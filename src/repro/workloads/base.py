@@ -1,7 +1,7 @@
 """Workload descriptions and the MPI job launcher.
 
 A workload enumerates its ranks as :class:`RankSpec` objects — name,
-program factory, performance profile, CPU pinning — mirroring how
+program factory, performance profile, CPU — mirroring how
 ``mpirun`` + a host file lay processes out on the paper's OpenPower 710
 (one MPI process per logical CPU, paper §IV-A).
 
@@ -36,10 +36,10 @@ class RankSpec:
     name: str
     factory: ProgramFactory
     profile: PerfProfile = CPU_BOUND
+    #: The logical CPU the rank runs on for its whole life (the
+    #: standard HPC deployment: one MPI process per logical CPU, paper
+    #: §IV-A).  The launch rejects a rank without one.
     cpu: Optional[int] = None
-    #: Pin the rank to its CPU via the affinity mask (the standard HPC
-    #: deployment: one MPI process per logical CPU, paper §IV-A).
-    pin: bool = True
     #: Ranks the paper's tables report on (workers, not helpers).
     measured: bool = True
 
@@ -104,9 +104,6 @@ def launch_workload(
             program=None,
             policy=SchedPolicy.NORMAL,
             perf_profile=spec.profile,
-            cpus_allowed=(
-                [spec.cpu] if spec.pin and spec.cpu is not None else None
-            ),
         )
         task.program = factory(mpi)
         runtime.bind(rank, task)

@@ -69,7 +69,6 @@ def spawn_noise(
             name=f"kdaemon/{cpu}",
             program=_daemon_program(cfg, rng),
             perf_profile=CPU_BOUND,
-            cpus_allowed=[cpu],
             daemon=True,
         )
         kernel.start_task(task, cpu=cpu)

@@ -60,24 +60,11 @@ def pure_compute_program(work: float):
     return prog()
 
 
-def use_stock_kernels(monkeypatch) -> None:
-    """Build every kernel from here on with ``fastforward=False`` (the
-    non-eliding reference), for twin runs through entry points that
-    construct their kernels internally."""
-    init = Kernel.__init__
-
-    def stock_init(self, *args, **kwargs):
-        kwargs["fastforward"] = False
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Kernel, "__init__", stock_init)
-
-
 @pytest.fixture
 def make_compute_task(kernel):
     """Factory: spawn a compute/sleep task on the traced kernel."""
 
-    def _make(name="t", iterations=1, work=0.1, pause=0.01, cpu=None, **kw):
+    def _make(name="t", iterations=1, work=0.1, pause=0.01, cpu=0, **kw):
         return kernel.spawn(
             name,
             compute_sleep_program(iterations, work, pause),

@@ -47,10 +47,9 @@ def run_disturbed(disturb: bool):
                     interloper(),
                     policy=SchedPolicy.FIFO,
                     rt_priority=50,
-                    cpus_allowed=[3],  # P4's CPU (a boosted worker)
                     daemon=True,
                 ),
-                cpu=3,
+                cpu=3,  # P4's CPU (a boosted worker)
             ),
         )
     exec_time = kernel.run()

@@ -19,9 +19,9 @@ def test_nice_does_matter_when_sharing_a_cpu(quiet_kernel):
     from tests.conftest import pure_compute_program
 
     k = quiet_kernel
-    fav = k.spawn("fav", pure_compute_program(5.0), cpu=0, cpus_allowed=[0],
+    fav = k.spawn("fav", pure_compute_program(5.0), cpu=0,
                   nice=-15)
-    vic = k.spawn("vic", pure_compute_program(5.0), cpu=0, cpus_allowed=[0],
+    vic = k.spawn("vic", pure_compute_program(5.0), cpu=0,
                   nice=0)
     k.run(until=0.5)
     assert fav.sum_exec_runtime > 3 * vic.sum_exec_runtime

@@ -49,9 +49,11 @@ def test_null_mechanism_records_without_effect(quiet_kernel):
     assert int(k.machine.context(0).priority) == 4
 
 
-def _sibling_finish_times(mech):
+def _sibling_finish_times(mech, between_runs=False):
     """Two equal computations on the SMT siblings of one core; ``mech``
-    raises the first to priority 6 mid-run.  Returns both finish times."""
+    raises the first to priority 6 at 0.01 s, inside an event or (with
+    ``between_runs``) between two ``run`` calls.  Returns both finish
+    times."""
     k = Kernel(machine=Machine(MachineTopology(), TableDrivenModel()))
     finished = {}
 
@@ -59,9 +61,13 @@ def _sibling_finish_times(mech):
         yield Compute(0.5)
         finished[name] = k.now
 
-    a = k.spawn("a", prog("a"), cpu=0, cpus_allowed=[0])
-    k.spawn("b", prog("b"), cpu=1, cpus_allowed=[1])
-    k.sim.at(0.01, lambda: mech.apply(k, a, 6), priority=1)
+    a = k.spawn("a", prog("a"), cpu=0)
+    k.spawn("b", prog("b"), cpu=1)
+    if between_runs:
+        k.sim.run(until=0.01)
+        mech.apply(k, a, 6)
+    else:
+        k.sim.at(0.01, lambda: mech.apply(k, a, 6), priority=1)
     k.run()
     return finished["a"], finished["b"]
 
@@ -73,3 +79,12 @@ def test_power5_mechanism_is_effective():
     assert a < b
     a, b = _sibling_finish_times(NullMechanism())
     assert a == b
+
+
+
+def test_priority_set_between_runs_changes_the_rates():
+    """Outside a run the rate change drains at once, so the raised
+    sibling finishes first, exactly as when the change is an event."""
+    a, b = _sibling_finish_times(POWER5Mechanism(), between_runs=True)
+    assert a < b
+    assert (a, b) == _sibling_finish_times(POWER5Mechanism())

@@ -17,7 +17,7 @@ def hpc_kernel(quiet_kernel):
 
 def hpc_spawn(k, name, prog, cpu):
     return k.spawn(
-        name, prog, cpu=cpu, cpus_allowed=[cpu], policy=SchedPolicy.HPC
+        name, prog, cpu=cpu, policy=SchedPolicy.HPC
     )
 
 
@@ -50,7 +50,7 @@ def test_hpc_task_runs_and_exits(quiet_kernel):
 
 def test_hpc_beats_cfs_task(quiet_kernel):
     k, _ = hpc_kernel(quiet_kernel)
-    normal = k.spawn("n", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
+    normal = k.spawn("n", pure_compute_program(0.2), cpu=0)
     hpc = hpc_spawn(k, "h", pure_compute_program(0.1), cpu=0)
     k.run()
     # the HPC task monopolizes the CPU until done
@@ -62,7 +62,7 @@ def test_rt_still_beats_hpc(quiet_kernel):
     k, _ = hpc_kernel(quiet_kernel)
     hpc = hpc_spawn(k, "h", pure_compute_program(0.1), cpu=0)
     rt = k.spawn(
-        "rt", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
+        "rt", pure_compute_program(0.05), cpu=0,
         policy=SchedPolicy.FIFO, rt_priority=10,
     )
     k.sim.run(until=0.001)
@@ -77,7 +77,7 @@ def test_hpc_wakeup_latency_near_zero_with_cfs_noise(quiet_kernel):
         while True:
             yield Compute(0.01)
 
-    k.spawn("hog", hog(), cpu=0, cpus_allowed=[0], daemon=True)
+    k.spawn("hog", hog(), cpu=0, daemon=True)
 
     def blinker():
         for _ in range(10):
@@ -136,17 +136,6 @@ def test_dequeue_unqueued_rejected(quiet_kernel):
         cls.dequeue_task(k.rqs[0], t)
 
 
-def test_pull_candidates_order(quiet_kernel):
-    k, cls = hpc_kernel(quiet_kernel)
-    a = hpc_spawn(k, "a", pure_compute_program(0.1), cpu=0)
-    b = k.spawn("b", pure_compute_program(0.1), cpu=0, policy=SchedPolicy.HPC)
-    c = k.spawn("c", pure_compute_program(0.1), cpu=0, policy=SchedPolicy.HPC)
-    rq = k.rqs[0]
-    cands = cls.pull_candidates(rq)
-    # back of the queue first
-    assert [t.name for t in cands] == ["c", "b"] or [t.name for t in cands] == ["c", "b", "a"]
-
-
 def test_hpc_starves_daemons_quantified(quiet_kernel):
     """The extrinsic-shield claim, in CPU time: with an HPC hog and a
     CFS daemon sharing a CPU, the daemon's share collapses while the HPC
@@ -158,8 +147,8 @@ def test_hpc_starves_daemons_quantified(quiet_kernel):
             yield Compute(0.005)
             yield Sleep(0.005)
 
-    d = k.spawn("daemon", daemon(), cpu=0, cpus_allowed=[0], daemon=True)
+    d = k.spawn("daemon", daemon(), cpu=0, daemon=True)
     hog = k.spawn("hog", pure_compute_program(0.5), cpu=0,
-                  policy=SchedPolicy.HPC, cpus_allowed=[0])
+                  policy=SchedPolicy.HPC)
     k.run()
     assert d.sum_exec_runtime < 0.05 * hog.sum_exec_runtime

@@ -3,11 +3,10 @@ preemption across classes, context switches, accounting."""
 
 import pytest
 
-from repro.kernel import Compute, Exit, Kernel, SchedPolicy, Sleep
+from repro.kernel import Compute, Exit, SchedPolicy, Sleep
 from repro.kernel.policies import TaskState
 from repro.kernel.syscalls import SetNice, SetScheduler, YieldCPU
-from repro.power5.machine import Machine, MachineTopology
-from repro.power5.perfmodel import CPU_BOUND, TableDrivenModel
+from repro.power5.perfmodel import CPU_BOUND
 from tests.conftest import compute_sleep_program, pure_compute_program
 
 
@@ -59,8 +58,8 @@ def test_sibling_idle_gives_st_speed_mid_run(quiet_kernel):
 
 def test_two_tasks_one_cpu_timeshare(quiet_kernel):
     k = quiet_kernel
-    a = k.spawn("a", pure_compute_program(0.05), cpu=0, cpus_allowed=[0])
-    b = k.spawn("b", pure_compute_program(0.05), cpu=0, cpus_allowed=[0])
+    a = k.spawn("a", pure_compute_program(0.05), cpu=0)
+    b = k.spawn("b", pure_compute_program(0.05), cpu=0)
     end = k.run()
     assert a.state == b.state == TaskState.EXITED
     # serialized on one context in ST mode (sibling idle)
@@ -189,14 +188,13 @@ def test_setscheduler_moves_class(quiet_kernel):
 
 def test_rt_preempts_normal(quiet_kernel):
     k = quiet_kernel
-    normal = k.spawn("n", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
+    normal = k.spawn("n", pure_compute_program(0.2), cpu=0)
 
     def rt_prog():
         yield Compute(0.05)
 
     k.sim.after(0.01, lambda: k.start_task(
-        k.create_task("rt", rt_prog(), policy=SchedPolicy.FIFO, rt_priority=50,
-                      cpus_allowed=[0]),
+        k.create_task("rt", rt_prog(), policy=SchedPolicy.FIFO, rt_priority=50),
         cpu=0,
     ))
     k.run()
@@ -217,9 +215,9 @@ def test_yield_reorders_equal_tasks(quiet_kernel):
 
         return prog()
 
-    k.spawn("a", looper("a"), cpu=0, cpus_allowed=[0],
+    k.spawn("a", looper("a"), cpu=0,
             policy=SchedPolicy.FIFO, rt_priority=5)
-    k.spawn("b", looper("b"), cpu=0, cpus_allowed=[0],
+    k.spawn("b", looper("b"), cpu=0,
             policy=SchedPolicy.FIFO, rt_priority=5)
     k.run()
     # with yields, execution interleaves instead of a-a-a-b-b-b
@@ -238,60 +236,19 @@ def test_set_nice(quiet_kernel):
     assert t.nice == 10
 
 
-def test_migrate_queued_task(quiet_kernel):
+def test_start_without_a_machine_cpu_rejected(quiet_kernel):
+    """A task runs where it starts: no CPU, or one the machine lacks,
+    is a loud error naming the task, and leaves the task NEW."""
     k = quiet_kernel
-    a = k.spawn("a", pure_compute_program(0.5), cpu=0)
-    b = k.spawn("b", pure_compute_program(0.5), cpu=0)  # queued behind a
-    assert b.state == TaskState.READY
-    k.migrate(b, 2)
-    assert b.cpu == 2
-    k.run()
-    assert k.migrations >= 1
-
-
-def test_migrate_running_task(quiet_kernel):
-    """Migrating a RUNNING task switches it out (progress banked, phase
-    event dropped), refills the source CPU and lands it on the target."""
-    k = quiet_kernel
-    a = k.spawn("a", pure_compute_program(0.5), cpu=0)
-    k.sim.run(until=0.01)
-    assert a.state == TaskState.RUNNING
-    before = a.phase_remaining
-    k.migrate(a, 2)
-    # Progress up to the migration instant was banked and the stale
-    # completion event cancelled with the task off-CPU.
-    assert a.state == TaskState.READY
-    assert a.cpu == 2
-    assert a.phase_remaining < before
-    assert a.phase_event is None and a.phase_eta is None
-    assert k.rqs[0].current is not a
-    assert k.migrations == 1
-    end = k.run()
-    assert a.state == TaskState.EXITED
-    # No work lost or duplicated: cpu2 runs in the same ST mode as cpu0,
-    # so the run finishes when an unmigrated control run does, plus the
-    # one extra context switch the migration itself costs.
-    machine = Machine(MachineTopology(), TableDrivenModel())
-    control = Kernel(machine=machine)
-    control.spawn("a", pure_compute_program(0.5), cpu=0)
-    cs = k.tunables.context_switch_cost
-    assert end == pytest.approx(control.run() + cs, rel=1e-9)
-
-
-def test_migrate_sleeping_task_rejected(quiet_kernel):
-    k = quiet_kernel
-    a = k.spawn("a", compute_sleep_program(2, 0.05, pause=1.0), cpu=0)
-    k.sim.run(until=0.1)  # inside the first sleep
-    assert a.state == TaskState.SLEEPING
-    with pytest.raises(ValueError):
-        k.migrate(a, 2)
-
-
-def test_affinity_violation_rejected(quiet_kernel):
-    k = quiet_kernel
-    t = k.create_task("t", pure_compute_program(0.1), cpus_allowed=[0, 1])
-    with pytest.raises(ValueError):
-        k.start_task(t, cpu=3)
+    t = k.create_task("lost", pure_compute_program(0.1))
+    for cpu in (None, 4, -1):
+        with pytest.raises(ValueError, match="'lost'"):
+            k.start_task(t, cpu=cpu)
+    assert t.state == TaskState.NEW and k.live_tasks == 0
+    with pytest.raises(ValueError, match="'stray'"):
+        k.spawn("stray", pure_compute_program(0.1))
+    k.start_task(t, cpu=3)
+    assert k.run() > 0 and t.state == TaskState.EXITED
 
 
 def test_start_twice_rejected(quiet_kernel):

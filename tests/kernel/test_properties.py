@@ -49,7 +49,7 @@ def test_random_populations_conserve_work_and_terminate(tasks):
     for i, (cpu, works) in enumerate(tasks):
         handles.append(
             kernel.spawn(
-                f"t{i}", compute_sleep(works), cpu=cpu, cpus_allowed=[cpu]
+                f"t{i}", compute_sleep(works), cpu=cpu
             )
         )
     end = kernel.run()
@@ -76,7 +76,7 @@ def test_random_populations_conserve_work_and_terminate(tasks):
         occupancy = sum(
             t.sum_exec_runtime for t in handles if t.cpu == cpu
         )
-        # tasks may migrate only if unpinned; here they are pinned
+        # each task runs only on the CPU it was started on
         assert busy == pytest.approx(occupancy, rel=1e-6, abs=1e-9)
 
 
@@ -94,7 +94,6 @@ def test_equal_cfs_tasks_share_one_cpu_fairly(works, seed):
             f"t{i}",
             compute_sleep([(10.0, 0.0)]),
             cpu=0,
-            cpus_allowed=[0],
         )
         for i in range(len(works))
     ]

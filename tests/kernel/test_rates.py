@@ -150,8 +150,7 @@ def test_preempt_cancels_stale_ridden_event(quiet_kernel):
     from repro.kernel.policies import SchedPolicy
 
     k = quiet_kernel
-    victim = k.spawn("victim", pure_compute_program(1.0), cpu=0,
-                     cpus_allowed=[0])
+    victim = k.spawn("victim", pure_compute_program(1.0), cpu=0)
     hog = k.spawn("hog", pure_compute_program(50.0), cpu=1)
     k.sim.after(0.1, lambda: k.set_hw_priority(hog, 6))  # ride starts
 
@@ -162,7 +161,7 @@ def test_preempt_cancels_stale_ridden_event(quiet_kernel):
         0.2,
         lambda: k.start_task(
             k.create_task("rt", rt_prog(), policy=SchedPolicy.FIFO,
-                          rt_priority=10, cpus_allowed=[0]),
+                          rt_priority=10),
             cpu=0,
         ),
     )
@@ -241,7 +240,7 @@ def test_sleep_then_resume_keeps_remaining_work(quiet_kernel):
     k = quiet_kernel
     from repro.kernel.policies import SchedPolicy
 
-    hog = k.spawn("hog", pure_compute_program(0.13), cpu=0, cpus_allowed=[0])
+    hog = k.spawn("hog", pure_compute_program(0.13), cpu=0)
     # an RT task interrupts for a fixed window
     def rt_prog():
         yield Compute(0.05)
@@ -250,7 +249,7 @@ def test_sleep_then_resume_keeps_remaining_work(quiet_kernel):
         0.02,
         lambda: k.start_task(
             k.create_task("rt", rt_prog(), policy=SchedPolicy.FIFO,
-                          rt_priority=10, cpus_allowed=[0]),
+                          rt_priority=10),
             cpu=0,
         ),
     )

@@ -5,7 +5,7 @@ contract underneath it.
 number of flags for one CPU within an instant share a single entry (the
 dedup guard on ``rq.resched_event``), and every CPU of every kernel on
 the simulator flagged at that instant shares a single event.  The
-direct-``__schedule`` paths (exit/block/migrate) *retire* a still-live
+direct-``__schedule`` paths (exit and block) *retire* a still-live
 entry, so the batch does not schedule that CPU a second time.  Where the
 run loop would act between two reschedules — a same-instant push of
 lower priority, a stop — the batch hands the rest of its list back as a
@@ -73,31 +73,51 @@ def test_same_instant_rescheds_share_one_entry_and_event():
     assert k._resched_batch.entries == []
 
 
+class _ReschedThenBlock(KernelRequest):
+    """Flag the caller's own CPU for rescheduling, then block: the block
+    reaches ``__schedule`` directly while the batch entry is pending.
+    ``wake_after`` (if given) wakes the task that much later."""
+
+    def __init__(self, wake_after=None, seen=None):
+        self.wake_after = wake_after
+        self.seen = seen
+
+    def execute(self, kernel, task):
+        kernel.resched(task.cpu)
+        if self.seen is not None:
+            self.seen["entry"] = kernel.rqs[task.cpu].resched_event
+            self.seen["request"] = kernel.sim.now
+        if self.wake_after is not None:
+            kernel.sim.after(self.wake_after, lambda: kernel.wake_up(task))
+        return False
+
+
 def test_direct_schedule_retires_the_entry():
-    """migrate() on a running task reaches __schedule directly; the
-    batch entry pending for the same CPU is retired and the batch does
-    not schedule the CPU a second time."""
+    """A request that flags its own CPU and then blocks reaches
+    __schedule directly; the batch entry pending for the same CPU is
+    retired and the batch does not schedule the CPU a second time."""
     k = _kernel()
-    a = k.spawn("a", pure_compute_program(0.5), cpu=0)
     log = []
     seen = {}
+    direct = k._Kernel__schedule
 
-    def provoke():
-        _count_schedules(k, log)
-        k.resched(0)
-        entry = k.rqs[0].resched_event
-        assert entry is not None
-        k.migrate(a, 2)  # RUNNING task: direct _schedule(0) inside
-        seen["retired"] = k.rqs[0].resched_event is None
-        seen["in_handler"] = list(log)
+    def schedule_direct(cpu):
+        log.append(("direct", cpu))
+        direct(cpu)
+        seen["retired"] = k.rqs[cpu].resched_event is None
 
-    k.sim.at(0.01, provoke, priority=1)
+    k._Kernel__schedule = schedule_direct
+    batch = []
+    _count_schedules(k, batch)
+    a = k.spawn("a", _program(Compute(0.01), _ReschedThenBlock(seen=seen)), cpu=0)
     k.sim.run(until=0.02)
+    assert seen["entry"] is not None
     assert seen["retired"] is True
-    assert seen["in_handler"] == [(k, 0)]
-    # The batch served only CPU 2 (the migrated task preempting idle).
-    assert log == [(k, 0), (k, 2)]
-    assert a.cpu == 2 and a.state == TaskState.RUNNING
+    # One direct __schedule (the block); the batch served CPU 0 only at
+    # the start, never for the retired entry.
+    assert log == [("direct", 0)]
+    assert batch == [(k, 0)]
+    assert a.state == TaskState.SLEEPING and k.rqs[0].current.is_idle_task
 
 
 def test_kernels_sharing_a_simulator_are_served_in_flag_order():
@@ -185,7 +205,8 @@ def test_deferred_rate_drain_observes_coalesced_event():
     moves and before the batch runs), seeing the final SMT state of the
     instant."""
     k = _kernel()
-    a = k.spawn("a", pure_compute_program(0.5), cpu=0)
+    seen = {}
+    k.spawn("a", _program(Compute(0.01), _ReschedThenBlock(seen=seen)), cpu=0)
 
     order = []
     orig_drain = k._drain_rate_changes
@@ -195,44 +216,40 @@ def test_deferred_rate_drain_observes_coalesced_event():
         orig_drain()
 
     k._drain_rate_changes = drain
+    orig_block = k._block_current
 
-    def provoke():
-        k.resched(0)
-        k.migrate(a, 2)
+    def block(cpu, task, req):
+        orig_block(cpu, task, req)
         order.append(("handler-done", k.sim.now))
 
-    k.sim.at(0.01, provoke, priority=1)
+    k._block_current = block
     k.sim.run(until=0.02)
+    t = seen["request"]
     # The drain ran exactly at the provoking event's boundary: same
     # instant, immediately after the handler returned, with the dirty
     # set intact (not flushed early by the batch).
-    idx = order.index(("handler-done", 0.01))
+    idx = order.index(("handler-done", t))
     assert order[idx + 1][0] == "drain"
-    assert order[idx + 1][1] == 0.01
+    assert order[idx + 1][1] == t
     assert order[idx + 1][2] > 0
     assert k._dirty_cores == {}  # fully drained before the clock moved
 
 
-def test_twin_run_migrate_under_pending_resched_identical():
-    """End-to-end pin of the retired-entry path: the final clock,
-    context-switch and migration counts match the values a run that
-    delivered the duplicate as a no-op produced, so retiring it changes
-    nothing observable."""
+def test_twin_run_block_under_pending_resched_identical():
+    """End-to-end pin of the retired-entry path: the final clock and
+    context-switch count match the values a run that delivered the
+    duplicate as a no-op produced, so retiring it changes nothing
+    observable."""
     k = _kernel()
-    a = k.spawn("a", pure_compute_program(0.3), cpu=0)
-    k.spawn("b", pure_compute_program(0.3), cpu=0)
-
-    def provoke():
-        k.resched(0)
-        k.migrate(a, 2)
-
-    k.sim.at(0.01, provoke, priority=1)
-    end = k.run()
-    assert (end, k.context_switches, k.migrations) == (
-        0.14786114285714286,
-        7,
-        1,
+    a = k.spawn(
+        "a",
+        _program(Compute(0.1), _ReschedThenBlock(wake_after=0.05), Compute(0.2)),
+        cpu=0,
     )
+    k.spawn("b", pure_compute_program(0.3), cpu=0)
+    end = k.run()
+    assert a.state == TaskState.EXITED
+    assert (end, k.context_switches) == (0.28580628571428573, 50)
 
 
 def test_yield_livelock_trips_the_event_limit_inside_the_batch():

@@ -10,7 +10,7 @@ from tests.conftest import pure_compute_program, tuned_kernel
 
 def rt_task(kernel, name, prog, prio, cpu=0):
     return kernel.spawn(
-        name, prog, cpu=cpu, cpus_allowed=[cpu],
+        name, prog, cpu=cpu,
         policy=SchedPolicy.FIFO, rt_priority=prio,
     )
 
@@ -26,9 +26,9 @@ def test_higher_rt_priority_runs_first(quiet_kernel):
 
         return p()
 
-    k.spawn("low", prog("low"), cpu=0, cpus_allowed=[0],
+    k.spawn("low", prog("low"), cpu=0,
             policy=SchedPolicy.FIFO, rt_priority=10)
-    k.spawn("high", prog("high"), cpu=0, cpus_allowed=[0],
+    k.spawn("high", prog("high"), cpu=0,
             policy=SchedPolicy.FIFO, rt_priority=90)
     k.run()
     assert order == ["high", "low"]
@@ -67,7 +67,7 @@ def test_rt_never_preempted_by_cfs_wakeup(quiet_kernel):
         yield Sleep(0.02)  # wakes at ~0.02, mid-RT-burst
         yield Compute(0.001)
 
-    n = k.spawn("n", normal(), cpu=0, cpus_allowed=[0])
+    n = k.spawn("n", normal(), cpu=0)
     k.sim.after(
         0.01,
         lambda: k.start_task(
@@ -76,7 +76,6 @@ def test_rt_never_preempted_by_cfs_wakeup(quiet_kernel):
                 pure_compute_program(0.2),
                 policy=SchedPolicy.FIFO,
                 rt_priority=10,
-                cpus_allowed=[0],
             ),
             cpu=0,
         ),
@@ -88,9 +87,9 @@ def test_rt_never_preempted_by_cfs_wakeup(quiet_kernel):
 
 def test_rr_timeslices_rotate():
     k = tuned_kernel(sched_rr_timeslice=0.01)
-    a = k.spawn("a", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
+    a = k.spawn("a", pure_compute_program(0.05), cpu=0,
                 policy=SchedPolicy.RR, rt_priority=10)
-    b = k.spawn("b", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
+    b = k.spawn("b", pure_compute_program(0.05), cpu=0,
                 policy=SchedPolicy.RR, rt_priority=10)
     k.run(until=0.06)
     # both made progress concurrently thanks to RR rotation
@@ -100,9 +99,9 @@ def test_rr_timeslices_rotate():
 
 def test_rr_respects_priority_over_rotation():
     k = tuned_kernel(sched_rr_timeslice=0.01)
-    hi = k.spawn("hi", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
+    hi = k.spawn("hi", pure_compute_program(0.05), cpu=0,
                  policy=SchedPolicy.RR, rt_priority=50)
-    lo = k.spawn("lo", pure_compute_program(0.05), cpu=0, cpus_allowed=[0],
+    lo = k.spawn("lo", pure_compute_program(0.05), cpu=0,
                  policy=SchedPolicy.RR, rt_priority=10)
     k.run(until=0.04)
     assert lo.sum_exec_runtime == 0.0  # never ran while hi runnable

@@ -6,7 +6,6 @@ from repro.kernel.policies import SchedPolicy
 from repro.kernel.syscalls import (
     Compute,
     Exit,
-    SetAffinity,
     SetNice,
     SetScheduler,
     Sleep,
@@ -51,46 +50,6 @@ def test_setnice_range():
     with pytest.raises(ValueError):
         SetNice(20)
     assert SetNice(0).nice == 0
-
-
-def test_setaffinity_applies(quiet_kernel):
-    k = quiet_kernel
-
-    def prog():
-        yield SetAffinity([2, 3])
-        yield Compute(0.05)
-
-    t = k.spawn("t", prog(), cpu=0)
-    k.run()
-    assert t.cpus_allowed == {2, 3}
-
-
-def test_setaffinity_migrates_running_task(quiet_kernel):
-    """A running task excluding its own CPU must actually move there at
-    the next reschedule, not be re-queued in place."""
-    k = quiet_kernel
-
-    def prog():
-        yield Compute(0.01)
-        yield SetAffinity([3])
-        yield Compute(0.05)
-
-    t = k.spawn("t", prog(), cpu=0)
-    k.run()
-    assert t.cpu == 3
-    assert k.migrations >= 1
-
-
-def test_setaffinity_none_clears(quiet_kernel):
-    k = quiet_kernel
-
-    def prog():
-        yield SetAffinity(None)
-        yield Compute(0.01)
-
-    t = k.spawn("t", prog(), cpu=0, cpus_allowed=[0])
-    k.run()
-    assert t.cpus_allowed is None
 
 
 def test_sleep_reason_labels():

@@ -23,13 +23,6 @@ def test_nice_range_validated():
         Task(pid=1, name="t", nice=20)
 
 
-def test_allows_cpu():
-    t = Task(pid=1, name="t")
-    assert t.allows_cpu(0) and t.allows_cpu(99)
-    t2 = Task(pid=2, name="t2", cpus_allowed=[1, 2])
-    assert t2.allows_cpu(1) and not t2.allows_cpu(0)
-
-
 def test_bank_progress_credits_work():
     t = Task(pid=1, name="t")
     t.phase_remaining = 1.0

@@ -88,10 +88,10 @@ def test_writing_a_field_raises(tun):
     with pytest.raises(dataclasses.FrozenInstanceError):
         tun.high_util = 90.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        DEFAULT_TUNABLES.loadbalance_interval = 0.016
+        DEFAULT_TUNABLES.tick_period = 0.004
 
 
-def test_fields_are_the_sixteen_knobs():
+def test_fields_are_the_fifteen_knobs():
     assert [f.name for f in dataclasses.fields(Tunables)] == [
         "sched_latency",
         "sched_min_granularity",
@@ -99,7 +99,6 @@ def test_fields_are_the_sixteen_knobs():
         "sched_rr_timeslice",
         "context_switch_cost",
         "tick_period",
-        "loadbalance_interval",
         "high_util",
         "low_util",
         "min_prio",

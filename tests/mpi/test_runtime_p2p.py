@@ -14,7 +14,7 @@ def launch_pair(kernel, prog0, prog1):
     tasks = []
     for rank, (factory, cpu) in enumerate(((prog0, 0), (prog1, 2))):
         mpi = MPIRank(rt, rank)
-        task = kernel.create_task(f"r{rank}", cpus_allowed=[cpu])
+        task = kernel.create_task(f"r{rank}")
         task.program = factory(mpi)
         rt.bind(rank, task)
         tasks.append((task, cpu))

@@ -12,7 +12,7 @@ def launch(kernel, factories):
     cpus = [0, 1, 2, 3]
     for rank, factory in enumerate(factories):
         mpi = MPIRank(rt, rank)
-        task = kernel.create_task(f"r{rank}", cpus_allowed=[cpus[rank]])
+        task = kernel.create_task(f"r{rank}")
         task.program = factory(mpi)
         rt.bind(rank, task)
         tasks.append((task, cpus[rank]))

@@ -1,4 +1,4 @@
-"""Machine topology and scheduling-domain tests."""
+"""Machine topology tests."""
 
 import pytest
 
@@ -17,34 +17,23 @@ def test_default_is_papers_openpower710():
 def test_context_lookup_and_sibling():
     m = Machine()
     assert m.context(0).cpu_id == 0
-    assert m.sibling_cpu(0) == 1
-    assert m.sibling_cpu(1) == 0
-    assert m.sibling_cpu(2) == 3
-    assert m.sibling_cpu(3) == 2
+    assert [m.context(c).sibling.cpu_id for c in m.cpu_ids] == [1, 0, 3, 2]
 
 
 def test_core_of_groups_cpu_pairs():
     m = Machine()
-    assert m.core_of(0) is m.core_of(1)
-    assert m.core_of(2) is m.core_of(3)
-    assert m.core_of(0) is not m.core_of(2)
-
-
-def test_domains_three_levels():
-    m = Machine()
-    doms = m.domains()
-    assert doms["context"] == [[0, 1], [2, 3]]
-    assert doms["core"] == [[0, 1, 2, 3]]
-    assert doms["chip"] == [[0, 1, 2, 3]]
+    assert m.context(0).core is m.context(1).core
+    assert m.context(2).core is m.context(3).core
+    assert m.context(0).core is not m.context(2).core
 
 
 def test_multi_chip_topology():
     m = Machine(MachineTopology(chips=2))
     assert m.n_cpus == 8
-    doms = m.domains()
-    assert doms["context"] == [[0, 1], [2, 3], [4, 5], [6, 7]]
-    assert doms["core"] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-    assert doms["chip"] == [[0, 1, 2, 3, 4, 5, 6, 7]]
+    pairs = [[ctx.cpu_id for ctx in core.contexts] for core in m.cores()]
+    assert pairs == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    chips = [[ctx.cpu_id for ctx in chip.contexts] for chip in m.chips]
+    assert chips == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
 def test_unique_cpu_ids_across_chips():

@@ -19,6 +19,5 @@ def test_four_way_smt_rejected():
 def test_large_cluster_topologies_work():
     m = Machine(MachineTopology(chips=8, cores_per_chip=4))
     assert m.n_cpus == 64
-    doms = m.domains()
-    assert len(doms["context"]) == 32
-    assert len(doms["core"]) == 8
+    assert len(m.cores()) == 32
+    assert len(m.chips) == 8

@@ -377,15 +377,12 @@ def test_batched_loop_enforces_event_limit():
         sim.run()
 
 
-def test_cur_event_prio_visible_during_delivery():
-    # Every delivery stores the event's priority, with or without a
-    # horizon; outside a run it reads None.
-    for until in (None, 2.0):
-        sim = Simulator()
-        seen = []
-        sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=4)
-        sim.at(1.0, lambda: seen.append(sim.cur_event_prio), priority=7)
-        sim.at(1.5, lambda: seen.append(sim.cur_event_prio), priority=-2)
-        sim.run(until=until)
-        assert seen == [4, 7, -2]
-        assert sim.cur_event_prio is None
+def test_defer_outside_a_run_runs_at_once():
+    sim = Simulator()
+    seen = []
+    sim.defer(lambda: seen.append("now"))
+    assert seen == ["now"]
+    sim.at(1.0, lambda: (sim.defer(lambda: seen.append("deferred")),
+                         seen.append("event")))
+    sim.run()
+    assert seen == ["now", "event", "deferred"]

@@ -1,12 +1,10 @@
-"""%Comp / utilization / imbalance statistics tests."""
+"""%Comp / utilization statistics tests."""
 
 import pytest
 
 from repro.trace.records import State, TaskTimeline
 from repro.trace.stats import (
     TaskStats,
-    imbalance_factor,
-    imbalance_spread,
     utilization,
 )
 
@@ -41,16 +39,3 @@ def test_utilization_of_timeline_window():
     assert utilization(tl) == pytest.approx(0.5)
     assert utilization(tl, start=0.0, end=2.0) == pytest.approx(1.0)
     assert utilization(tl, start=2.0, end=4.0) == pytest.approx(0.0)
-
-
-def test_imbalance_spread():
-    stats = [make_stats(9.0, 0, 1.0), make_stats(2.0, 0, 8.0)]
-    assert imbalance_spread(stats) == pytest.approx(70.0)
-    assert imbalance_spread([]) == 0.0
-
-
-def test_imbalance_factor():
-    stats = [make_stats(4.0, 0, 0), make_stats(2.0, 0, 0)]
-    assert imbalance_factor(stats) == pytest.approx(4.0 / 3.0)
-    assert imbalance_factor([]) == 1.0
-    assert imbalance_factor([make_stats(0, 0, 0)]) == 1.0

@@ -207,8 +207,8 @@ def _shared_cpu_run():
         yield Compute(0.01)
 
     kernel = make_kernel()
-    kernel.spawn("a", prog(), cpu=0, cpus_allowed=[0])
-    kernel.spawn("b", prog(), cpu=0, cpus_allowed=[0])
+    kernel.spawn("a", prog(), cpu=0)
+    kernel.spawn("b", prog(), cpu=0)
     kernel.run()
     return kernel
 

@@ -18,8 +18,8 @@ def test_launch_binds_ranks_in_order(quiet_kernel):
 
 def test_launch_pins_ranks(quiet_kernel):
     launched = launch_workload(quiet_kernel, MetBench(iterations=1))
-    assert launched.task("P1").cpus_allowed == {0}
-    assert launched.task("P4").cpus_allowed == {3}
+    assert launched.task("P1").cpu == 0
+    assert launched.task("P4").cpu == 3
 
 
 def test_launch_without_hpc_keeps_normal_policy(quiet_kernel):
@@ -44,7 +44,8 @@ def test_workload_measured_names_excludes_master():
     assert wl.measured_names() == ["P1", "P2", "P3", "P4"]
 
 
-def test_unpinned_spec(quiet_kernel):
+def test_rank_without_a_cpu_rejected(quiet_kernel):
+    """A task runs where it starts, so a rank must name its CPU."""
     from repro.kernel.syscalls import Compute
 
     def factory(mpi):
@@ -57,8 +58,7 @@ def test_unpinned_spec(quiet_kernel):
         name = "solo"
 
         def rank_specs(self):
-            return [RankSpec(name="only", factory=factory, cpu=2, pin=False)]
+            return [RankSpec(name="only", factory=factory)]
 
-    launched = launch_workload(quiet_kernel, Solo())
-    assert launched.task("only").cpus_allowed is None
-    assert launched.task("only").cpu == 2
+    with pytest.raises(ValueError, match="'only'"):
+        launch_workload(quiet_kernel, Solo())

@@ -22,14 +22,14 @@ def test_one_daemon_per_cpu(quiet_kernel):
 
 def test_daemons_pinned(quiet_kernel):
     daemons = spawn_noise(quiet_kernel, cpus=[1, 3])
-    assert [sorted(d.cpus_allowed) for d in daemons] == [[1], [3]]
+    assert [d.cpu for d in daemons] == [1, 3]
 
 
 def test_daemons_steal_roughly_duty_cycle(quiet_kernel):
     k = quiet_kernel
     cfg = NoiseDaemons(period=0.01, burst=0.0005, jitter=0.0)
     daemons = spawn_noise(k, cfg, cpus=[0])
-    worker = k.spawn("w", pure_compute_program(1.0), cpu=0, cpus_allowed=[0])
+    worker = k.spawn("w", pure_compute_program(1.0), cpu=0)
     end = k.run()
     daemon_time = daemons[0].sum_exec_runtime
     # burst is expressed in work units; wall occupancy shrinks when the
@@ -42,13 +42,13 @@ def test_daemons_steal_roughly_duty_cycle(quiet_kernel):
 def test_noise_slows_colocated_worker(quiet_kernel):
     k = quiet_kernel
     spawn_noise(k, NoiseDaemons(period=0.01, burst=0.001), cpus=[0])
-    k.spawn("w", pure_compute_program(0.5), cpu=0, cpus_allowed=[0])
+    k.spawn("w", pure_compute_program(0.5), cpu=0)
     end_noisy = k.run()
 
     from repro.experiments.common import build_kernel
 
     k2 = build_kernel()
-    k2.spawn("w", pure_compute_program(0.5), cpu=0, cpus_allowed=[0])
+    k2.spawn("w", pure_compute_program(0.5), cpu=0)
     end_clean = k2.run()
     assert end_noisy > end_clean
 
@@ -57,6 +57,6 @@ def test_run_terminates_despite_daemons(quiet_kernel):
     """Daemons are infinite loops; the run must still end."""
     k = quiet_kernel
     spawn_noise(k)
-    k.spawn("w", pure_compute_program(0.05), cpu=0, cpus_allowed=[0])
+    k.spawn("w", pure_compute_program(0.05), cpu=0)
     end = k.run()
     assert end < 1.0
