@@ -66,12 +66,10 @@ class ClusterNode:
     ) -> None:
         self.node_id = node_id
         machine = Machine(topology, TableDrivenModel())
-        # No trace and no PMU attribution: recording every context
-        # switch (and advancing per-core counters on every rate change)
-        # across hundreds of CPUs costs real wall time, and a cluster
-        # run reports only its rank exits.
+        # No trace: recording every context switch across hundreds of
+        # CPUs costs real wall time, and a cluster run reports only its
+        # rank exits.
         self.kernel = Kernel(machine=machine, sim=sim)
-        self.kernel.pmu_enabled = False
         self.hpc_class = None
         if heuristic_factory is not None:
             self.hpc_class = attach_hpcsched(self.kernel, heuristic_factory())

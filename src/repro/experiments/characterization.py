@@ -27,6 +27,7 @@ from repro.experiments.registry import register
 from repro.kernel.syscalls import Compute
 from repro.power5.decode import decode_shares
 from repro.power5.perfmodel import CPU_BOUND, PerfProfile
+from repro.power5.pmu import MachinePMU
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ def measure_pair(
 ) -> PairMeasurement:
     """Co-schedule two busy loops on one core at fixed priorities."""
     kernel = build_kernel()
+    pmu = kernel.pmu = MachinePMU(kernel.machine)
 
     def busy():
         while True:
@@ -58,11 +60,10 @@ def measure_pair(
     b = kernel.spawn("B", busy(), cpu=1, perf_profile=profile)
     kernel.set_hw_priority(a, prio_a)
     kernel.set_hw_priority(b, prio_b)
-    end = kernel.run(until=duration)
-    kernel.pmu.finalize(end)
+    end = kernel.run(until=duration)  # finalizes the attached PMU
 
-    ca = kernel.pmu.context_counters(0)
-    cb = kernel.pmu.context_counters(1)
+    ca = pmu.context_counters(0)
+    cb = pmu.context_counters(1)
     return PairMeasurement(
         prio_a=prio_a,
         prio_b=prio_b,

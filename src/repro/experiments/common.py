@@ -81,14 +81,13 @@ def build_kernel(
 ) -> Kernel:
     """A kernel on the paper's machine (1 POWER5: 2 cores x 2 SMT).
 
-    ``keep_trace=False`` builds it with no trace collector and the PMU
-    off, for a run that reads only the tasks' own counters.
+    ``keep_trace=False`` builds it with no trace collector, for a run
+    that reads only the tasks' own counters.  No PMU is attached: a
+    reader of counters attaches one (see ``characterization``).
     """
     machine = Machine(topology or MachineTopology(), perf_model or TableDrivenModel())
     trace = TraceCollector() if keep_trace else None
-    kernel = Kernel(machine=machine, tunables=tunables, trace=trace)
-    kernel.pmu_enabled = keep_trace
-    return kernel
+    return Kernel(machine=machine, tunables=tunables, trace=trace)
 
 
 def task_results(
@@ -132,8 +131,8 @@ def run_experiment(
     1-chip machine (e.g. for multi-chip scaling studies).
     The table rows come from the tasks' own state counters either way.
     ``keep_trace=False`` returns no kernel, trace or launched workload,
-    and builds the kernel with no trace collector and the PMU off, since
-    nothing could read them.
+    and builds the kernel with no trace collector, since nothing could
+    read them.
     """
     valid = set(SCHEDULERS) | set(HEURISTICS)
     if scheduler not in valid:

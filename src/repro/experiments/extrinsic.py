@@ -54,8 +54,7 @@ def run_one(
 
     As in :func:`~repro.experiments.common.run_experiment`, the rows
     come from the tasks' own counters, and ``keep_trace=False`` returns
-    no kernel or trace and builds the kernel with no trace collector
-    and the PMU off.
+    no kernel or trace and builds the kernel with no trace collector.
     """
     kernel = build_kernel(keep_trace=keep_trace)
     hpc_class = None

@@ -68,12 +68,6 @@ class HPCSchedClass(SchedClass):
     def enqueue_task(self, rq: "RunQueue", task: "Task") -> None:
         rq.class_queues[self.name].tasks.append(task)
 
-    def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
-        try:
-            rq.class_queues[self.name].tasks.remove(task)
-        except ValueError:
-            raise ValueError(f"{task!r} not queued in HPC class") from None
-
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:
         q = rq.class_queues.get(self.name)
         if q is None or not q.tasks:
@@ -134,5 +128,5 @@ def attach_hpcsched(
     """Register the HPC class on ``kernel`` between RT and CFS
     (paper Fig. 1b) and return it."""
     cls = HPCSchedClass(kernel, heuristic, mechanism)
-    kernel.register_class(cls, before="fair")
+    kernel.register_class(cls)
     return cls

@@ -29,8 +29,6 @@ from repro.kernel.syscalls import (
     Compute,
     Sleep,
     SetScheduler,
-    SetNice,
-    YieldCPU,
     Exit,
 )
 
@@ -43,7 +41,5 @@ __all__ = [
     "Compute",
     "Sleep",
     "SetScheduler",
-    "SetNice",
-    "YieldCPU",
     "Exit",
 ]

@@ -152,17 +152,12 @@ class Kernel:
         self._cs_cost = tunables.context_switch_cost
         self._tick_period = tunables.tick_period
 
-        #: Simulated performance counters (decode shares, ST time, ...),
-        #: built lazily on first access: counters start at zero and the
-        #: model never reads the clock at construction, so a kernel that
-        #: is never inspected (a cluster node) skips the build entirely.
-        self._pmu: Optional[Any] = None
-        #: Whether the PMU is advanced on rate changes and finalized by
-        #: :meth:`run`.  Pure observability — it never feeds back into
-        #: scheduling — so a driver that reads no counters (the cluster
-        #: by default, an unkept ``run_experiment``) turns it off and
-        #: skips the per-switch attribution.
-        self.pmu_enabled = True
+        #: Simulated performance counters (a
+        #: :class:`~repro.power5.pmu.MachinePMU`), advanced on rate
+        #: changes and finalized by :meth:`run` only when a reader
+        #: attaches one before the run.  Pure observability: it never
+        #: feeds back into scheduling.
+        self.pmu: Optional[Any] = None
 
         self.rt = RTClass(self)
         self.fair = FairClass(self)
@@ -216,27 +211,14 @@ class Kernel:
             self.rqs[cpu].current = idle
             self.machine.context(cpu).idle()
 
-    @property
-    def pmu(self):
-        """Simulated performance counters (lazily constructed)."""
-        if self._pmu is None:
-            from repro.power5.pmu import MachinePMU
-
-            self._pmu = MachinePMU(self.machine)
-        return self._pmu
-
-    def register_class(self, sched_class: SchedClass, before: str = "fair") -> None:
-        """Insert a new scheduling class (e.g. HPCSched) before the class
-        named ``before`` — the paper places HPCSched between the
-        real-time and the CFS class (Fig. 1b)."""
+    def register_class(self, sched_class: SchedClass) -> None:
+        """Insert a new scheduling class (HPCSched) right before CFS —
+        the paper places HPCSched between the real-time and the CFS
+        class (Fig. 1b)."""
         names = [c.name for c in self.classes]
         if sched_class.name in names:
             raise ValueError(f"class {sched_class.name!r} already registered")
-        try:
-            idx = names.index(before)
-        except ValueError:
-            raise ValueError(f"no scheduling class named {before!r}") from None
-        self.classes.insert(idx, sched_class)
+        self.classes.insert(names.index("fair"), sched_class)
         self._class_rank = {id(c): i for i, c in enumerate(self.classes)}
 
     def class_for_policy(self, policy: SchedPolicy) -> SchedClass:
@@ -375,7 +357,7 @@ class Kernel:
         self.__schedule(cpu)
 
     # ------------------------------------------------------------------
-    # Enqueue / dequeue
+    # Enqueue
     # ------------------------------------------------------------------
     def _enqueue(self, task: Task) -> None:
         cpu = task.cpu
@@ -386,47 +368,33 @@ class Kernel:
         task.last_enqueue_time = self.sim.now
         self._update_tick(cpu)
 
-    def _dequeue(self, task: Task) -> None:
-        assert task.cpu is not None
-        rq = self.rqs[task.cpu]
-        task.sched_class.dequeue_task(rq, task)
-        rq.nr_queued -= 1
-
     # ------------------------------------------------------------------
     # Policy changes
     # ------------------------------------------------------------------
     def sched_setscheduler(
         self, task: Task, policy: SchedPolicy, rt_priority: int = 0
     ) -> None:
-        """Move a task to another policy (and scheduling class)."""
+        """Move the running ``task`` to another policy (and scheduling
+        class), then reschedule its CPU.  A task changes its own policy
+        (the :class:`~repro.kernel.syscalls.SetScheduler` request), so
+        it is always the one running; any other task is refused."""
+        if task.state != _RUNNING:
+            raise ValueError(
+                f"sched_setscheduler: task {task.name!r} (pid {task.pid}) "
+                f"is {task.state.name}, not running"
+            )
         new_class = self.class_for_policy(policy)
         old_class = task.sched_class
-        rq = self.rqs[task.cpu] if task.cpu is not None else None
-        was_queued = task.state == _READY
-        if was_queued:
-            self._dequeue(task)
-        if old_class is not None and rq is not None and old_class is not new_class:
+        rq = self.rqs[task.cpu]
+        if old_class is not new_class:
             old_class.task_exit(rq, task)
         task.policy = policy
         task.rt_priority = rt_priority
         task.sched_class = new_class
-        if rq is not None and old_class is not new_class:
+        if old_class is not new_class:
             new_class.task_new(rq, task)
         self._trace(task, "setscheduler", policy=policy.name)
-        if was_queued:
-            assert task.cpu is not None
-            self._enqueue(task)
-            self._check_preempt(task.cpu, task)
-        elif task.state == _RUNNING:
-            assert task.cpu is not None
-            self.resched(task.cpu)
-
-    def yield_current(self, task: Task) -> None:
-        """``sched_yield``: reschedule, sending the caller to the tail
-        of its queue."""
-        if task.state == _RUNNING and task.cpu is not None:
-            task._sched_yield = True
-            self.resched(task.cpu)
+        self.resched(task.cpu)
 
     # ------------------------------------------------------------------
     # Hardware priority mechanism entry point
@@ -517,7 +485,7 @@ class Kernel:
     def _pick_next(self, rq: RunQueue) -> Task:
         if rq.nr_queued == 0:
             # ``nr_queued`` is the exact sum of the class queues (the
-            # only mutators are _enqueue/_dequeue/_pick_next), so every
+            # only mutators are _enqueue and _pick_next), so every
             # class is empty: fall through to the never-empty idle class
             # directly.
             task = self.idle_class.pick_next_task(rq)
@@ -633,8 +601,8 @@ class Kernel:
         Several rate-changing actions often land on the same core within
         one delivered event (an install plus the sibling going idle, a
         preempt cascade, a priority sweep).  Batching them into a single
-        deferred drain pays the PMU attribution and the sibling walk
-        once per core per event instead of once per action.
+        deferred drain pays the sibling walk (and an attached PMU's
+        attribution) once per core per event instead of once per action.
 
         ``skip_ctx`` names a context whose phase the caller manages
         itself (the one a task was just installed on): its progress was
@@ -668,7 +636,8 @@ class Kernel:
         """
         dirty = self._dirty_cores
         now = self.sim.now
-        advance = self.pmu.advance_core if self.pmu_enabled else None
+        pmu = self.pmu
+        advance = pmu.advance_core if pmu is not None else None
         running = _RUNNING
         while dirty:
             batch = list(dirty.values())
@@ -816,7 +785,7 @@ class Kernel:
                 if rq.current is not task or task.state != _RUNNING:
                     return  # the request displaced us
                 if rq.need_resched:
-                    return  # preemption point (yield, priority change...)
+                    return  # preemption point (policy or priority change...)
                 continue
             raise TypeError(f"task program yielded unsupported {req!r}")
 
@@ -875,7 +844,7 @@ class Kernel:
         """Run the simulation until all non-daemon tasks exit (or until
         the optional time horizon)."""
         end = self.sim.run(until=until, stop_when=lambda: self.live_tasks == 0)
-        if self.pmu_enabled:
+        if self.pmu is not None:
             self.pmu.finalize(end)
         if self.oracles is not None:
             self.oracles.on_run_end(end)

@@ -16,7 +16,7 @@ an empty queue, 3,572 into a queue of one, none into a queue of two).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.kernel.policies import FAIR_POLICIES
@@ -53,8 +53,7 @@ class CFSQueue:
     ``timeline`` holds ``(vruntime, pid, task)`` entries in ascending
     order.  The pid makes every key unique, so the order is total and
     the task itself is never compared; ``entries`` maps a queued pid to
-    its entry, which is how :meth:`remove` finds it again even after the
-    task's vruntime moved on.
+    its entry (the double-enqueue guard).
     """
 
     __slots__ = ("timeline", "entries", "min_vruntime", "total_weight")
@@ -71,13 +70,6 @@ class CFSQueue:
         insort(self.timeline, entry)
         self.entries[task.pid] = entry
         self.total_weight += nice_to_weight(task.nice)
-
-    def remove(self, task: "Task") -> None:
-        """Take a queued task off the timeline."""
-        entry = self.entries.pop(task.pid)
-        timeline = self.timeline
-        del timeline[bisect_left(timeline, entry)]
-        self.total_weight -= nice_to_weight(task.nice)
 
     def leftmost(self) -> Optional["Task"]:
         """The task with the smallest vruntime (next to run)."""
@@ -110,9 +102,6 @@ class FairClass(SchedClass):
             raise ValueError(f"{task!r} double-enqueued in CFS")
         q.insert(task)
         self._update_min_vruntime(rq)
-
-    def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
-        rq.class_queues[self.name].remove(task)
 
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:
         q = rq.class_queues.get(self.name)

@@ -40,9 +40,6 @@ class IdleClass(SchedClass):
     def enqueue_task(self, rq: "RunQueue", task: "Task") -> None:
         raise RuntimeError("the idle task is never enqueued")
 
-    def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
-        raise RuntimeError("the idle task is never dequeued")
-
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:
         return self.idle_tasks.get(rq.cpu)
 

@@ -3,7 +3,7 @@
 A set of round-robin run-queue lists, one per real-time priority — the
 old O(1) algorithm preserved inside the new framework (paper §III).  We
 use POSIX semantics directly: larger ``rt_priority`` wins.  FIFO tasks
-run until they block or yield; RR tasks are moved to the back of their
+run until they block; RR tasks are moved to the back of their
 priority list when their time slice expires.
 """
 
@@ -41,16 +41,6 @@ class RTQueue:
         else:
             lst.append(task)
         self.count += 1
-
-    def remove(self, task: "Task") -> None:
-        """Unqueue a specific task (raises if absent)."""
-        lst = self.lists.get(task.rt_priority)
-        if lst is None or task not in lst:
-            raise ValueError(f"{task!r} not queued in RT class")
-        lst.remove(task)
-        self.count -= 1
-        if not lst:
-            del self.lists[task.rt_priority]
 
     def pop_best(self) -> Optional["Task"]:
         """Dequeue the head of the highest non-empty priority list."""
@@ -91,22 +81,25 @@ class RTClass(SchedClass):
         task._rt_requeue_head = False
         rq.class_queues[self.name].push(task, front=head)
 
-    def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
-        rq.class_queues[self.name].remove(task)
-
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:
-        task = rq.class_queues[self.name].pop_best()
+        # Read without building: the pick walk passes every CPU, and a
+        # CPU that never queued an RT task keeps no RT queue.
+        q = rq.class_queues.get(self.name)
+        if q is None:
+            return None
+        task = q.pop_best()
         if task is not None and task.policy == SchedPolicy.RR:
             if task.rr_slice_left <= 0.0:
                 task.rr_slice_left = self._rr_timeslice
         return task
 
     def nr_queued(self, rq: "RunQueue") -> int:
-        return rq.class_queues[self.name].count
+        q = rq.class_queues.get(self.name)
+        return 0 if q is None else q.count
 
     def task_tick(self, rq: "RunQueue", task: "Task") -> None:
         if task.policy != SchedPolicy.RR:
-            return  # FIFO: no slice, runs until it blocks or yields
+            return  # FIFO: no slice, runs until it blocks
         task.rr_slice_left -= self._tick_period
         if task.rr_slice_left > 0.0:
             return
@@ -127,9 +120,5 @@ class RTClass(SchedClass):
         return best is not None and best >= task.rt_priority
 
     def put_prev_task(self, rq: "RunQueue", task: "Task") -> None:
-        yielded = task._sched_yield
-        task._sched_yield = False
-        if yielded:
-            return  # sched_yield: go to the tail of the priority list
         if task.policy == SchedPolicy.FIFO or task.rr_slice_left > 0.0:
             task._rt_requeue_head = True

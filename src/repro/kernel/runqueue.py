@@ -65,14 +65,6 @@ class RunQueue:
         #: Time the current task was switched in (for slice accounting).
         self.curr_switched_in_at: float = 0.0
 
-    @property
-    def nr_running(self) -> int:
-        """Queued tasks plus the running one (idle task excluded)."""
-        running = 1 if self.current is not None and not (
-            self.current.is_idle_task
-        ) else 0
-        return self.nr_queued + running
-
     def __repr__(self) -> str:  # pragma: no cover
         cur = self.current.name if self.current else None
         return f"<RunQueue cpu{self.cpu} current={cur!r} queued={self.nr_queued}>"

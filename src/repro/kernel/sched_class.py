@@ -1,7 +1,7 @@
 """The Scheduling Class interface (paper §III).
 
 The Scheduler Core treats classes as objects and calls their methods for
-every low-level operation: enqueue/dequeue, picking the next task,
+every low-level operation: enqueueing, picking the next task,
 accounting a tick, wakeup-preemption decisions.  Classes provide their
 own per-CPU queue data structure (priority arrays for RT, a sorted
 timeline for CFS, round-robin lists for HPC), which is exactly the property
@@ -40,10 +40,6 @@ class SchedClass(ABC):
     @abstractmethod
     def enqueue_task(self, rq: "RunQueue", task: "Task") -> None:
         """Add a runnable task to the CPU's queue."""
-
-    @abstractmethod
-    def dequeue_task(self, rq: "RunQueue", task: "Task") -> None:
-        """Remove a task from the CPU's queue."""
 
     @abstractmethod
     def pick_next_task(self, rq: "RunQueue") -> Optional["Task"]:

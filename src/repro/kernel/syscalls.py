@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.kernel.policies import (
-    NICE_MAX,
-    NICE_MIN,
     RT_PRIO_MAX,
     RT_PRIO_MIN,
     RT_POLICIES,
@@ -105,27 +103,6 @@ class SetScheduler(KernelRequest):
 
     def execute(self, kernel: "Kernel", task: "Task") -> bool:
         kernel.sched_setscheduler(task, self.policy, self.rt_priority)
-        return True
-
-
-class SetNice(KernelRequest):
-    """``nice()``: adjust the CFS weight of the calling task."""
-
-    def __init__(self, nice: int) -> None:
-        if not NICE_MIN <= nice <= NICE_MAX:
-            raise ValueError(f"nice {nice} out of range")
-        self.nice = nice
-
-    def execute(self, kernel: "Kernel", task: "Task") -> bool:
-        task.nice = self.nice
-        return True
-
-
-class YieldCPU(KernelRequest):
-    """``sched_yield()``: put the task at the back of its queue."""
-
-    def execute(self, kernel: "Kernel", task: "Task") -> bool:
-        kernel.yield_current(task)
         return True
 
 

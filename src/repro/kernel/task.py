@@ -34,7 +34,7 @@ class Task:
         "perf_profile", "state", "cpu", "hw_priority",
         "phase_label", "sum_exec_runtime", "exec_start", "vruntime",
         "rr_slice_left", "last_enqueue_time", "wakeup_pending", "daemon",
-        "_sched_yield", "sleep_reason", "sleeping_on_wait", "phase_remaining",
+        "sleep_reason", "sleeping_on_wait", "phase_remaining",
         "phase_rate", "phase_started_at", "phase_event", "phase_epoch",
         "phase_eta", "_syscall_result", "class_data", "on_exit",
         "sched_class", "is_idle_task", "_rt_requeue_head",
@@ -113,8 +113,6 @@ class Task:
         self.max_wakeup_latency = 0.0
         #: Excluded from the live-task stop condition when True.
         self.daemon = False
-        #: sched_yield marker consumed by RT put_prev_task.
-        self._sched_yield = False
         #: Set by RT put_prev_task: requeue at the head of the list.
         self._rt_requeue_head = False
         self.sleep_reason: Optional[str] = None

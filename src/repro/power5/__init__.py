@@ -10,8 +10,8 @@ background thread, single-thread mode).
 
 This package models exactly the pieces the paper's scheduler interacts
 with: the priority registers and their privilege rules (Table II), the
-decode-share arithmetic (Table I), the chip topology (chip -> core ->
-context) and pluggable performance models translating a decode share
+decode-share arithmetic (Table I), the machine topology (cores of two
+contexts each) and pluggable performance models translating a decode share
 into a task execution rate.
 """
 
@@ -27,25 +27,10 @@ from repro.power5.priorities import (
 )
 from repro.power5.decode import (
     decode_window,
+    decode_cycles,
+    decode_shares,
     DECODE_TABLE,
 )
-from repro.power5 import decode as _decode
-
-
-def decode_cycles(prio_a, prio_b):
-    """Decode cycles per window granted to (task A, task B).
-
-    Thin dispatcher: ``decode.enable_validation()`` swaps the underlying
-    implementation, and this wrapper always calls the current one.
-    """
-    return _decode.decode_cycles(prio_a, prio_b)
-
-
-def decode_shares(prio_a, prio_b):
-    """Fraction of decode bandwidth granted to each context (dispatches
-    to the currently installed implementation, see
-    :func:`repro.power5.decode.enable_validation`)."""
-    return _decode.decode_shares(prio_a, prio_b)
 from repro.power5.perfmodel import (
     PerformanceModel,
     DecodeShareModel,
@@ -56,7 +41,6 @@ from repro.power5.perfmodel import (
     MIXED,
 )
 from repro.power5.core import SMTCore, SMTContext
-from repro.power5.chip import POWER5Chip
 from repro.power5.machine import Machine, MachineTopology
 
 __all__ = [
@@ -81,7 +65,6 @@ __all__ = [
     "MIXED",
     "SMTCore",
     "SMTContext",
-    "POWER5Chip",
     "Machine",
     "MachineTopology",
 ]

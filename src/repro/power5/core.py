@@ -16,7 +16,6 @@ from repro.power5.priorities import (
     DEFAULT_PRIORITY,
     PRIORITY_OF,
     HWPriority,
-    PriorityError,
     coerce_priority,
 )
 
@@ -38,10 +37,6 @@ class SMTContext:
         #: loop snoozes at very low priority, so an idle context does not
         #: count as busy for SMT resource purposes.
         self.busy: bool = False
-
-    @property
-    def sibling(self) -> "SMTContext":
-        return self.core.contexts[1 - self.thread_index]
 
     def load(self, task: Any, priority: int, busy: bool = True) -> None:
         """Install ``task`` on the context with hardware ``priority``."""
@@ -75,14 +70,11 @@ class SMTCore:
         core_id: int,
         first_cpu_id: int,
         perf_model: Optional[PerformanceModel] = None,
-        threads: int = 2,
     ) -> None:
-        if threads != 2:
-            raise PriorityError("the POWER5 core model is strictly 2-way SMT")
         self.core_id = core_id
         self.perf_model = perf_model or TableDrivenModel()
         self.contexts: List[SMTContext] = [
-            SMTContext(first_cpu_id + i, self, i) for i in range(threads)
+            SMTContext(first_cpu_id + i, self, i) for i in range(2)
         ]
 
     def context_speed(self, thread_index: int, profile: PerfProfile) -> float:
@@ -110,11 +102,6 @@ class SMTCore:
         return self.perf_model.speed_pair(
             profile0, profile1, c0.priority, c1.priority, c0.busy, c1.busy
         )
-
-    def st_mode(self) -> bool:
-        """Whether the core is effectively running a single thread."""
-        busy = [ctx for ctx in self.contexts if ctx.busy]
-        return len(busy) <= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<SMTCore {self.core_id} {self.contexts!r}>"

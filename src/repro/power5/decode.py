@@ -17,23 +17,15 @@ Special levels bypass the window arithmetic (paper §II-B):
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Tuple
 
 from repro.power5.priorities import HWPriority, PriorityError, coerce_priority
-
-#: Self-check flag (see :func:`enable_validation`); pre-armed by the
-#: ``REPRO_VALIDATE`` environment flag so even standalone decode calls
-#: are validated under a validation run.
-_VALIDATE = os.environ.get("REPRO_VALIDATE", "").strip() in (
-    "1", "true", "yes", "on",
-)
 
 _SHARE_EPS = 1e-12
 
 
 class DecodeShareError(AssertionError):
-    """The decode-share self-check caught invalid arbitration output."""
+    """The import-time check caught invalid decode arbitration output."""
 
 
 #: Fraction of decode bandwidth a priority-1 ("background") context scavenges
@@ -66,7 +58,7 @@ def decode_window(prio_a: int, prio_b: int) -> int:
     return 2 ** (abs(int(pa) - int(pb)) + 1)
 
 
-def _decode_cycles_fast(prio_a: int, prio_b: int) -> Tuple[int, int]:
+def decode_cycles(prio_a: int, prio_b: int) -> Tuple[int, int]:
     """Decode cycles per window granted to (task A, task B).
 
     Implements Table I exactly: the higher-priority task receives ``R - 1``
@@ -78,19 +70,6 @@ def _decode_cycles_fast(prio_a: int, prio_b: int) -> Tuple[int, int]:
     if prio_a > prio_b:
         return (r - 1, 1)
     return (1, r - 1)
-
-
-def _decode_cycles_checked(prio_a: int, prio_b: int) -> Tuple[int, int]:
-    """Validated variant of :func:`decode_cycles`: asserts the granted
-    cycles exactly fill the ``R``-cycle window."""
-    r = decode_window(prio_a, prio_b)
-    pair = _decode_cycles_fast(prio_a, prio_b)
-    if pair[0] + pair[1] != r:
-        raise DecodeShareError(
-            f"decode cycles {pair} for priorities ({prio_a}, {prio_b}) "
-            f"do not fill the R={r} window"
-        )
-    return pair
 
 
 def _shares(pa: HWPriority, pb: HWPriority) -> Tuple[float, float]:
@@ -116,35 +95,9 @@ def _shares(pa: HWPriority, pb: HWPriority) -> Tuple[float, float]:
     if pb == HWPriority.VERY_LOW:
         return (1.0 - BACKGROUND_SHARE, BACKGROUND_SHARE)
 
-    ca, cb = _decode_cycles_fast(pa, pb)
+    ca, cb = decode_cycles(pa, pb)
     r = ca + cb
     return (ca / r, cb / r)
-
-
-def _decode_shares_fast(prio_a: int, prio_b: int) -> Tuple[float, float]:
-    """Fraction of decode bandwidth granted to each context.
-
-    Handles the special levels 0, 1 and 7 as described in the module
-    docstring, then falls back to the Table I window arithmetic — all
-    precomputed in :data:`_SHARES_TABLE`.
-    """
-    pair = _SHARES_TABLE.get((prio_a, prio_b))
-    if pair is None:
-        # Non-integer or out-of-range input: coerce (which raises the
-        # canonical PriorityError for invalid levels) and retry.
-        pa, pb = coerce_priority(prio_a), coerce_priority(prio_b)
-        pair = _SHARES_TABLE[(int(pa), int(pb))]
-    return pair
-
-
-def _decode_shares_checked(prio_a: int, prio_b: int) -> Tuple[float, float]:
-    """Validated variant of :func:`decode_shares`: recomputes the pair
-    from first principles (so a corrupted constant is caught, not masked
-    by the precomputed table) and self-checks the output."""
-    pa, pb = coerce_priority(prio_a), coerce_priority(prio_b)
-    pair = _shares(pa, pb)
-    _check_shares(pa, pb, pair)
-    return pair
 
 
 def _check_shares(
@@ -177,46 +130,48 @@ def _check_normal(prio: HWPriority) -> None:
         )
 
 
-#: Priorities form a closed set (0..7), so the full 8×8 arbitration
-#: outcome is precomputed once at import; the production
-#: ``decode_shares`` is a single dict lookup.  ``HWPriority`` is an
-#: ``IntEnum``, so enum and plain-int arguments hash identically.
-_SHARES_TABLE: Dict[Tuple[int, int], Tuple[float, float]] = {
-    (a, b): _shares(HWPriority(a), HWPriority(b))
-    for a in range(8)
-    for b in range(8)
-}
+def decode_shares(prio_a: int, prio_b: int) -> Tuple[float, float]:
+    """Fraction of decode bandwidth granted to each context.
 
-# ----------------------------------------------------------------------
-# Implementation dispatch.  The public names are *module attributes*
-# rebound by enable/disable_validation, so production calls carry zero
-# per-call "is validation on?" branching.  Hot-path callers (perfmodel,
-# pmu) resolve them through the module object (``decode.decode_shares``)
-# so they observe the swap.
-# ----------------------------------------------------------------------
-decode_cycles = _decode_cycles_checked if _VALIDATE else _decode_cycles_fast
-decode_shares = _decode_shares_checked if _VALIDATE else _decode_shares_fast
-
-
-def enable_validation() -> None:
-    """Swap in the self-checking decode arbitration implementations.
-
-    With validation on, :func:`decode_cycles` verifies that the granted
-    cycles exactly fill the ``R``-cycle window and :func:`decode_shares`
-    recomputes each pair from first principles and verifies that both
-    fractions lie in ``[0, 1]`` and sum to 1 (or to 0 when both contexts
-    are off).  Called by :func:`repro.validate.invariants.install`.
+    Handles the special levels 0, 1 and 7 as described in the module
+    docstring, then falls back to the Table I window arithmetic — all
+    precomputed in :data:`_SHARES_TABLE`.
     """
-    global _VALIDATE, decode_cycles, decode_shares
-    _VALIDATE = True
-    decode_cycles = _decode_cycles_checked
-    decode_shares = _decode_shares_checked
+    pair = _SHARES_TABLE.get((prio_a, prio_b))
+    if pair is None:
+        # Non-integer or out-of-range input: coerce (which raises the
+        # canonical PriorityError for invalid levels) and retry.
+        pa, pb = coerce_priority(prio_a), coerce_priority(prio_b)
+        pair = _SHARES_TABLE[(int(pa), int(pb))]
+    return pair
 
 
-def disable_validation() -> None:
-    """Swap the unchecked table-driven implementations back in (see
-    :func:`enable_validation`)."""
-    global _VALIDATE, decode_cycles, decode_shares
-    _VALIDATE = False
-    decode_cycles = _decode_cycles_fast
-    decode_shares = _decode_shares_fast
+def _build_shares_table() -> Dict[Tuple[int, int], Tuple[float, float]]:
+    """The full 8x8 arbitration outcome, checked as it is built: every
+    pair of shares must be valid fractions summing to 1 (0 when both
+    contexts are off), and on the 25 normal pairs the Table I cycles
+    must exactly fill the ``R``-cycle window.  A corrupted constant
+    therefore fails the import."""
+    table = {}
+    for a in range(8):
+        for b in range(8):
+            pa, pb = HWPriority(a), HWPriority(b)
+            pair = _shares(pa, pb)
+            _check_shares(pa, pb, pair)
+            if 2 <= a <= 6 and 2 <= b <= 6:
+                cycles = decode_cycles(pa, pb)
+                r = decode_window(pa, pb)
+                if cycles[0] + cycles[1] != r:
+                    raise DecodeShareError(
+                        f"decode cycles {cycles} for priorities ({a}, {b}) "
+                        f"do not fill the R={r} window"
+                    )
+            table[(a, b)] = pair
+    return table
+
+
+#: Priorities form a closed set (0..7), so the arbitration outcome is
+#: computed and checked once at import; :func:`decode_shares` is a
+#: single dict lookup.  ``HWPriority`` is an ``IntEnum``, so enum and
+#: plain-int arguments hash identically.
+_SHARES_TABLE = _build_shares_table()

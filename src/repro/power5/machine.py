@@ -1,9 +1,11 @@
-"""Whole-machine topology: chips -> cores -> contexts (logical CPUs).
+"""Whole-machine topology: chips x cores x 2 contexts (logical CPUs).
 
 The paper's testbed is an IBM OpenPower 710 with one POWER5 chip:
 2 cores x 2 SMT contexts = 4 logical CPUs.  :class:`Machine` builds that
-hierarchy, generalized to N chips.  Each task runs on the logical CPU it
-was started on, so the kernel needs no scheduling domains over it.
+machine's cores, generalized to N chips; a chip only groups cores, so
+the machine holds the cores directly.  Each task runs on the logical
+CPU it was started on, so the kernel needs no scheduling domains over
+it.
 """
 
 from __future__ import annotations
@@ -11,22 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.power5.chip import POWER5Chip
 from repro.power5.core import SMTContext, SMTCore
 from repro.power5.perfmodel import PerformanceModel
 
 
 @dataclass(frozen=True)
 class MachineTopology:
-    """Shape of the simulated machine."""
+    """Shape of the simulated machine (every core is 2-way SMT)."""
 
     chips: int = 1
     cores_per_chip: int = 2
-    threads_per_core: int = 2
 
     @property
     def n_cpus(self) -> int:
-        return self.chips * self.cores_per_chip * self.threads_per_core
+        return self.chips * self.cores_per_chip * 2
 
 
 class Machine:
@@ -38,30 +38,18 @@ class Machine:
         perf_model: Optional[PerformanceModel] = None,
     ) -> None:
         self.topology = topology or MachineTopology()
-        self.chips: List[POWER5Chip] = []
         t = self.topology
-        for chip_id in range(t.chips):
-            self.chips.append(
-                POWER5Chip(
-                    chip_id=chip_id,
-                    first_core_id=chip_id * t.cores_per_chip,
-                    first_cpu_id=chip_id * t.cores_per_chip * t.threads_per_core,
-                    perf_model=perf_model,
-                    cores=t.cores_per_chip,
-                    threads_per_core=t.threads_per_core,
-                )
-            )
-        self._contexts: Dict[int, SMTContext] = {}
-        for chip in self.chips:
-            for ctx in chip.contexts:
-                self._contexts[ctx.cpu_id] = ctx
-        # Topology is immutable after construction; precompute the
-        # orderings that kernel construction and the PMU would otherwise
-        # re-derive per call.
-        self._cpu_ids: tuple = tuple(sorted(self._contexts))
+        # Core ``i`` holds logical CPUs ``2i`` and ``2i + 1``.  Topology
+        # is immutable after construction; the orderings kernel
+        # construction and the PMU read are built once here.
         self._cores: List[SMTCore] = [
-            core for chip in self.chips for core in chip.cores
+            SMTCore(core_id=i, first_cpu_id=2 * i, perf_model=perf_model)
+            for i in range(t.chips * t.cores_per_chip)
         ]
+        self._contexts: Dict[int, SMTContext] = {
+            ctx.cpu_id: ctx for core in self._cores for ctx in core.contexts
+        }
+        self._cpu_ids: tuple = tuple(sorted(self._contexts))
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -79,12 +67,12 @@ class Machine:
         return self._contexts[cpu_id]
 
     def cores(self) -> List[SMTCore]:
-        """All physical cores, across chips, in id order."""
+        """All physical cores, in id order."""
         return self._cores
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         t = self.topology
         return (
             f"<Machine {t.chips} chip(s) x {t.cores_per_chip} core(s) x "
-            f"{t.threads_per_core} thread(s) = {t.n_cpus} CPUs>"
+            f"2 threads = {t.n_cpus} CPUs>"
         )

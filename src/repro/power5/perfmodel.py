@@ -35,7 +35,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.power5 import decode
+from repro.power5.decode import decode_shares
 from repro.power5.priorities import HWPriority
 
 
@@ -286,9 +286,7 @@ class DecodeShareModel(PerformanceModel):
     ) -> float:
         if not sibling_busy:
             return self.st_speed(profile)
-        # Module-attribute call: observes the validated/unvalidated
-        # implementation swap done by decode.enable_validation().
-        share_self, _ = decode.decode_shares(own_priority, sibling_priority)
+        share_self, _ = decode_shares(own_priority, sibling_priority)
         if share_self <= 0.0:
             return 0.0
         if share_self >= 1.0:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.power5 import decode
+from repro.power5.decode import decode_shares
 
 
 @dataclass
@@ -60,7 +60,7 @@ class ContextCounters:
 @dataclass
 class _Snapshot:
     busy: bool = False
-    st_mode: bool = False
+    single_thread: bool = False
     share: float = 0.0
     rate: float = 0.0
 
@@ -87,7 +87,7 @@ class CorePMU:
                 ctr.busy_time += dt
                 ctr.decode_share_integral += snap.share * dt
                 ctr.work_done += snap.rate * dt
-                if snap.st_mode:
+                if snap.single_thread:
                     ctr.st_time += dt
         self._last_time = now
         self._resnapshot()
@@ -99,16 +99,14 @@ class CorePMU:
             snap = self._snap[i]
             snap.busy = busy[i]
             if not busy[i]:
-                snap.st_mode = False
+                snap.single_thread = False
                 snap.share = 0.0
                 snap.rate = 0.0
                 continue
             sibling_busy = busy[1 - i]
-            snap.st_mode = not sibling_busy
+            snap.single_thread = not sibling_busy
             if sibling_busy:
-                # Module-attribute call so the validated implementation
-                # installed by decode.enable_validation() is observed.
-                snap.share, _ = decode.decode_shares(
+                snap.share, _ = decode_shares(
                     int(ctxs[i].priority), int(ctxs[1 - i].priority)
                 )
             else:

@@ -31,12 +31,6 @@ class SimulationError(RuntimeError):
     """Raised for engine misuse (time travel, livelock, ...)."""
 
 
-def _stop_sentinel() -> None:
-    """Injected into the deferred list by :meth:`Simulator.stop` so the
-    run loop's single ``if deferred:`` test observes the stop without a
-    per-event ``_stop_requested`` attribute load."""
-
-
 class Simulator:
     """Discrete-event simulator with a float clock in simulated seconds.
 
@@ -53,7 +47,6 @@ class Simulator:
         #: Delivered events, stored when :meth:`run` returns.
         self.events_processed = 0
         self._running = False
-        self._stop_requested = False
         #: Optional runtime oracle (repro.validate.invariants); receives
         #: every delivered event when validation is enabled.  Must be
         #: installed before :meth:`run` — the loop snapshots it.
@@ -101,14 +94,11 @@ class Simulator:
         """The run loop's step between two same-instant events, for a
         callback that serves several units of work (the kernel's
         reschedule batch): drain deferred work, then return True where
-        the loop would act before the next unit — a stop, ``stop_when``,
-        or a push at this instant that sorts ahead of the bucket's rest.
+        the loop would act before the next unit — ``stop_when``, or a
+        push at this instant that sorts ahead of the bucket's rest.
         The caller then re-queues its remaining units and returns."""
         if self._deferred:
             self._run_deferred()
-        if self._stop_requested:
-            self._deferred.append(_stop_sentinel)  # re-signal the loop
-            return True
         stop_when = self._stop_when
         return self.now in self.queue._unsorted or (
             stop_when is not None and stop_when()
@@ -189,15 +179,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to stop after the event
-        being processed."""
-        self._stop_requested = True
-        # The run loop folds its stop check into the existing
-        # ``if deferred:`` test; make sure that test fires.
-        if self._running and not self._deferred:
-            self._deferred.append(_stop_sentinel)
-
     def run(
         self,
         until: Optional[float] = None,
@@ -222,7 +203,7 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        self._stop_requested = False
+        stopped = False
         self._stop_when = stop_when
         queue = self.queue
         buckets = queue._buckets
@@ -280,10 +261,8 @@ class Simulator:
                         fn()
                         if deferred:
                             self._run_deferred()
-                            if self._stop_requested:
-                                break
                         if stop_when is not None and stop_when():
-                            self._stop_requested = True
+                            stopped = True
                             break
                         if len(b) != k:
                             # Same-instant pushes landed.  The list
@@ -309,12 +288,12 @@ class Simulator:
                         del buckets[t]
                 if processed == start:
                     self.now = prev  # corpse-only instant: nothing fired
-                if self._stop_requested:
+                if stopped:
                     break
             if (
                 until is not None
                 and until > self.now
-                and (not self._stop_requested or len(queue) == 0)
+                and (not stopped or len(queue) == 0)
             ):
                 self.now = until
         finally:

@@ -22,9 +22,6 @@ along with every :class:`~repro.kernel.core_sched.Kernel` and checks,
   every rate change;
 * **CFS** — a task's vruntime never decreases, and a queue's
   ``min_vruntime`` is monotonically non-decreasing;
-* **power5** — decode shares are valid fractions summing to 1 (or 0
-  when both contexts are off) — checked inside
-  :func:`repro.power5.decode.decode_shares` itself;
 * **hpcsched** — per-iteration utilizations observe ``0 <= U <= 1``,
   and the Load Imbalance Detector never applies a priority while FROZEN
   and never applies an *upward* change while OBSERVING (the legality
@@ -281,16 +278,11 @@ def maybe_install(kernel: "Kernel") -> Optional[KernelOracles]:
 
 
 def install(kernel: "Kernel") -> KernelOracles:
-    """Unconditionally attach a fresh oracle set to ``kernel``.
-
-    Also enables the decode-share self-check in
-    :mod:`repro.power5.decode` (module-wide, pure-function validation)
-    and hooks the kernel's simulator event loop.
-    """
-    from repro.power5 import decode
-
+    """Unconditionally attach a fresh oracle set to ``kernel`` and hook
+    its simulator's event loop.  Nothing process-wide changes: the
+    decode shares are checked once, when :mod:`repro.power5.decode` is
+    imported."""
     oracles = KernelOracles(kernel)
     kernel.oracles = oracles
     kernel.sim.oracle = oracles
-    decode.enable_validation()
     return oracles

@@ -10,7 +10,6 @@ from repro.kernel.syscalls import Compute, Sleep
 from repro.kernel.tunables import Tunables
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import CPU_BOUND, TableDrivenModel
-from repro.trace.collector import TraceCollector
 
 
 def pytest_addoption(parser):

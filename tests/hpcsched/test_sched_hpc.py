@@ -3,8 +3,8 @@ semantics, latency benefits, detector wiring."""
 
 import pytest
 
-from repro.hpcsched import attach_hpcsched, UniformHeuristic
-from repro.kernel import Compute, Kernel, SchedPolicy, Sleep
+from repro.hpcsched import attach_hpcsched
+from repro.kernel import Compute, SchedPolicy, Sleep
 from repro.kernel.policies import TaskState
 from repro.kernel.syscalls import SetScheduler
 from tests.conftest import pure_compute_program, tuned_kernel
@@ -31,14 +31,6 @@ def test_attach_twice_rejected(quiet_kernel):
     attach_hpcsched(quiet_kernel)
     with pytest.raises(ValueError):
         attach_hpcsched(quiet_kernel)
-
-
-def test_register_before_unknown_class(quiet_kernel):
-    from repro.hpcsched.sched_hpc import HPCSchedClass
-
-    cls = HPCSchedClass(quiet_kernel)
-    with pytest.raises(ValueError):
-        quiet_kernel.register_class(cls, before="bogus")
 
 
 def test_hpc_task_runs_and_exits(quiet_kernel):
@@ -127,13 +119,6 @@ def test_setscheduler_into_hpc_registers_with_detector(quiet_kernel):
     assert t.pid in cls.detector.stats
     k.run()
     assert t.pid not in cls.detector.stats  # removed at exit
-
-
-def test_dequeue_unqueued_rejected(quiet_kernel):
-    k, cls = hpc_kernel(quiet_kernel)
-    t = k.create_task("t", pure_compute_program(0.1), policy=SchedPolicy.HPC)
-    with pytest.raises(ValueError):
-        cls.dequeue_task(k.rqs[0], t)
 
 
 def test_hpc_starves_daemons_quantified(quiet_kernel):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.kernel import Compute, Exit, SchedPolicy, Sleep
 from repro.kernel.policies import TaskState
-from repro.kernel.syscalls import SetNice, SetScheduler, YieldCPU
+from repro.kernel.syscalls import SetScheduler
 from repro.power5.perfmodel import CPU_BOUND
 from tests.conftest import compute_sleep_program, pure_compute_program
 
@@ -186,6 +186,24 @@ def test_setscheduler_moves_class(quiet_kernel):
     assert t.rt_priority == 10
 
 
+def test_setscheduler_on_a_ready_task_raises(quiet_kernel):
+    """A task changes only its own policy, so it is the running one;
+    asked for a queued task, ``sched_setscheduler`` refuses by name and
+    changes nothing."""
+    k = quiet_kernel
+    a = k.spawn("a", pure_compute_program(0.1), cpu=0)
+    b = k.spawn("queued", pure_compute_program(0.1), cpu=0)
+    k.run(until=0.01)
+    waiting = a if a.state == TaskState.READY else b
+    assert waiting.state == TaskState.READY
+    with pytest.raises(ValueError, match=repr(waiting.name)):
+        k.sched_setscheduler(waiting, SchedPolicy.FIFO, rt_priority=10)
+    assert waiting.policy == SchedPolicy.NORMAL
+    assert waiting.sched_class is k.fair
+    k.run()
+    assert a.state == b.state == TaskState.EXITED
+
+
 def test_rt_preempts_normal(quiet_kernel):
     k = quiet_kernel
     normal = k.spawn("n", pure_compute_program(0.2), cpu=0)
@@ -200,40 +218,6 @@ def test_rt_preempts_normal(quiet_kernel):
     k.run()
     # RT task must have preempted: normal saw a READY gap
     assert k.context_switches >= 3
-
-
-def test_yield_reorders_equal_tasks(quiet_kernel):
-    k = quiet_kernel
-    order = []
-
-    def looper(name):
-        def prog():
-            for _ in range(3):
-                order.append(name)
-                yield Compute(0.001)
-                yield YieldCPU()
-
-        return prog()
-
-    k.spawn("a", looper("a"), cpu=0,
-            policy=SchedPolicy.FIFO, rt_priority=5)
-    k.spawn("b", looper("b"), cpu=0,
-            policy=SchedPolicy.FIFO, rt_priority=5)
-    k.run()
-    # with yields, execution interleaves instead of a-a-a-b-b-b
-    assert order[:4] == ["a", "b", "a", "b"]
-
-
-def test_set_nice(quiet_kernel):
-    k = quiet_kernel
-
-    def prog():
-        yield SetNice(10)
-        yield Compute(0.01)
-
-    t = k.spawn("t", prog(), cpu=0)
-    k.run()
-    assert t.nice == 10
 
 
 def test_start_without_a_machine_cpu_rejected(quiet_kernel):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel import Compute, Kernel, Sleep
-from repro.kernel.fair import NICE_0_LOAD, PRIO_TO_WEIGHT, nice_to_weight
+from repro.kernel.fair import PRIO_TO_WEIGHT, nice_to_weight
 from repro.kernel.policies import TaskState
 from repro.kernel.task import Task
 from tests.conftest import compute_sleep_program, pure_compute_program
@@ -126,8 +126,8 @@ def test_double_enqueue_rejected(quiet_kernel):
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["ins", "del", "pick"]),
-            st.integers(0, 11),  # pid, or an index into the queued tasks
+            st.sampled_from(["ins", "pick"]),
+            st.integers(0, 11),  # pid
             st.sampled_from([0.0, 0.5, 1.0, 2.5]),  # few vruntimes: ties
             st.sampled_from([-5, 0, 7]),
         ),
@@ -135,11 +135,10 @@ def test_double_enqueue_rejected(quiet_kernel):
     )
 )
 def test_cfs_queue_matches_a_sorted_model(ops):
-    """Random inserts, removes and picks against a sorted model: the
-    timeline is ordered by (vruntime, pid), so equal vruntimes are
-    tie-broken by pid; leftmost, nr_queued, total weight and the
-    pull-candidate order follow, and a queued pid cannot enqueue
-    twice."""
+    """Random inserts and picks against a sorted model: the timeline
+    is ordered by (vruntime, pid), so equal vruntimes are tie-broken by
+    pid; leftmost, nr_queued and total weight follow, and a queued pid
+    cannot enqueue twice."""
     k = Kernel()
     fair = k.fair
     rq = k.rqs[0]
@@ -155,12 +154,6 @@ def test_cfs_queue_matches_a_sorted_model(ops):
                 task.vruntime = vruntime
                 fair.enqueue_task(rq, task)
                 model[n] = task
-        elif op == "del" and model:
-            pid = sorted(model)[n % len(model)]
-            task = model.pop(pid)
-            # The queued key stays the one it was inserted under.
-            task.vruntime += 10.0
-            fair.dequeue_task(rq, task)
         elif op == "pick":
             picked = fair.pick_next_task(rq)
             if model:

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.common import build_kernel
 from repro.kernel.syscalls import Compute, Sleep
+from repro.power5.pmu import MachinePMU
 from repro.validate.invariants import consistency_check
 
 
@@ -45,6 +46,7 @@ def test_random_populations_conserve_work_and_terminate(tasks):
     retire exactly the work submitted, (c) never violate runqueue
     invariants, and (d) account occupancy == busy wall time."""
     kernel = build_kernel()
+    pmu = kernel.pmu = MachinePMU(kernel.machine)
     handles = []
     for i, (cpu, works) in enumerate(tasks):
         handles.append(
@@ -63,7 +65,7 @@ def test_random_populations_conserve_work_and_terminate(tasks):
     # bounded overcount.
     submitted = sum(w for _, works in tasks for w, _ in works)
     retired = sum(
-        kernel.pmu.context_counters(c).work_done
+        pmu.context_counters(c).work_done
         for c in kernel.machine.cpu_ids
     )
     cs_cost = kernel.tunables.context_switch_cost
@@ -72,7 +74,7 @@ def test_random_populations_conserve_work_and_terminate(tasks):
 
     # Occupancy == PMU busy time, per context.
     for cpu in kernel.machine.cpu_ids:
-        busy = kernel.pmu.context_counters(cpu).busy_time
+        busy = pmu.context_counters(cpu).busy_time
         occupancy = sum(
             t.sum_exec_runtime for t in handles if t.cpu == cpu
         )

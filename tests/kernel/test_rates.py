@@ -5,8 +5,9 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.gang import block_placement
-from repro.kernel import Compute, Sleep
+from repro.kernel import Compute
 from repro.power5.perfmodel import CPU_BOUND, MIXED
+from repro.power5.pmu import MachinePMU
 from tests.conftest import pure_compute_program
 
 ST = CPU_BOUND.st_speedup  # 2.1
@@ -78,15 +79,15 @@ def test_profiles_apply_per_task(quiet_kernel):
     """Two different profiles co-running: each context uses its own
     task's curve."""
     k = quiet_kernel
+    pmu = k.pmu = MachinePMU(k.machine)
     cpu_task = k.spawn("c", pure_compute_program(10.0), cpu=0,
                        perf_profile=CPU_BOUND)
     mem_task = k.spawn("m", pure_compute_program(10.0), cpu=1,
                        perf_profile=MIXED)
     k.set_hw_priority(cpu_task, 6)
     k.run(until=1.0)
-    k.pmu.finalize(k.now)
-    rate_c = k.pmu.context_counters(0).work_done
-    rate_m = k.pmu.context_counters(1).work_done
+    rate_c = pmu.context_counters(0).work_done
+    rate_m = pmu.context_counters(1).work_done
     assert rate_c == pytest.approx(CPU_BOUND.dprio_speed[2], rel=1e-6)
     assert rate_m == pytest.approx(MIXED.dprio_speed[-2], rel=1e-6)
 

@@ -8,15 +8,16 @@ the simulator flagged at that instant shares a single event.  The
 direct-``__schedule`` paths (exit and block) *retire* a still-live
 entry, so the batch does not schedule that CPU a second time.  Where the
 run loop would act between two reschedules — a same-instant push of
-lower priority, a stop — the batch hands the rest of its list back as a
-new event, so the trace equals that of one event per CPU.
+lower priority, a true ``stop_when`` — the batch hands the rest of its
+list back as a new event, so the trace equals that of one event per
+CPU.
 """
 
 import pytest
 
 from repro.kernel import Kernel
 from repro.kernel.policies import TaskState
-from repro.kernel.syscalls import Compute, KernelRequest, Sleep, YieldCPU
+from repro.kernel.syscalls import Compute, KernelRequest, Sleep
 from repro.power5.machine import Machine, MachineTopology
 from repro.power5.perfmodel import TableDrivenModel
 from repro.simcore import Simulator
@@ -40,6 +41,15 @@ def _program(*requests):
             yield req
 
     return prog()
+
+
+class _Yield(KernelRequest):
+    """Reschedule the caller's CPU and continue (``sched_yield`` as a
+    CFS task sees it)."""
+
+    def execute(self, kernel, task):
+        kernel.resched(task.cpu)
+        return True
 
 
 def _count_schedules(k, log):
@@ -179,19 +189,20 @@ def test_stop_on_exit_leaves_later_cpus_flagged():
 
 
 def test_stop_during_an_install_leaves_later_cpus_flagged():
-    """``Simulator.stop()`` from inside an install stops the run after
+    """A ``stop_when`` that an install makes true stops the run after
     that install; the CPUs flagged behind it are served on resume."""
+    stop = []
 
     class StopSim(KernelRequest):
         def execute(self, kernel, task):
-            kernel.sim.stop()
+            stop.append(kernel.sim.now)
             return True
 
     k = _kernel()
     a = k.spawn("a", _program(Sleep(1.0), StopSim(), Compute(0.01)), cpu=0)
     b = k.spawn("b", _program(Sleep(1.0), Compute(0.01)), cpu=1)
     c = k.spawn("c", _program(Sleep(1.0), Compute(0.01)), cpu=2)
-    assert k.run() == 1.0
+    assert k.sim.run(stop_when=lambda: bool(stop)) == 1.0
     states = (a.state, b.state, c.state)
     assert states == (TaskState.RUNNING, TaskState.READY, TaskState.READY)
     assert k.context_switches == 7
@@ -259,7 +270,7 @@ def test_yield_livelock_trips_the_event_limit_inside_the_batch():
     loudly."""
     def spin():
         while True:
-            yield YieldCPU()
+            yield _Yield()
 
     k = _kernel()
     k.sim.max_events = 1000

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Compute, Kernel, SchedPolicy, Sleep
+from repro.kernel import Compute, SchedPolicy, Sleep
 from repro.kernel.policies import TaskState
 from repro.kernel.rt import RTQueue
 from tests.conftest import pure_compute_program, tuned_kernel
@@ -141,15 +141,3 @@ def test_rtqueue_push_front():
     q.push(t1)
     q.push(t2, front=True)
     assert q.pop_best() is t2
-
-
-def test_rtqueue_remove():
-    q = RTQueue()
-    t1, t2 = _FakeTask(10), _FakeTask(20)
-    q.push(t1)
-    q.push(t2)
-    q.remove(t1)
-    assert q.count == 1
-    assert q.best_priority() == 20
-    with pytest.raises(ValueError):
-        q.remove(t1)

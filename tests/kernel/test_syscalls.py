@@ -5,8 +5,6 @@ import pytest
 from repro.kernel.policies import SchedPolicy
 from repro.kernel.syscalls import (
     Compute,
-    Exit,
-    SetNice,
     SetScheduler,
     Sleep,
 )
@@ -42,14 +40,6 @@ def test_setscheduler_validates_rt_priority():
         SetScheduler(SchedPolicy.FIFO, rt_priority=0)
     SetScheduler(SchedPolicy.NORMAL)  # no rt priority required
     SetScheduler(SchedPolicy.HPC)
-
-
-def test_setnice_range():
-    with pytest.raises(ValueError):
-        SetNice(-21)
-    with pytest.raises(ValueError):
-        SetNice(20)
-    assert SetNice(0).nice == 0
 
 
 def test_sleep_reason_labels():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.kernel import Kernel
 from tests.conftest import pure_compute_program
 
 

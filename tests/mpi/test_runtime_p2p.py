@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.kernel import Compute
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG
 from repro.mpi.process import MPIRank
 from repro.mpi.runtime import MPIRuntime

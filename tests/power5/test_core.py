@@ -19,14 +19,16 @@ def test_core_has_two_contexts(core):
 
 
 def test_strictly_two_way_smt():
-    with pytest.raises(PriorityError):
+    with pytest.raises(TypeError, match="threads"):
         SMTCore(core_id=0, first_cpu_id=0, threads=4)
 
 
 def test_sibling_linkage(core):
     a, b = core.contexts
-    assert a.sibling is b
-    assert b.sibling is a
+    assert a.core is b.core is core
+    assert (a.thread_index, b.thread_index) == (0, 1)
+    assert core.contexts[1 - a.thread_index] is b
+    assert core.contexts[1 - b.thread_index] is a
 
 
 def test_contexts_boot_at_medium_priority(core):
@@ -50,14 +52,6 @@ def test_idle_drops_to_snooze_priority(core):
     assert ctx.task is None
     assert not ctx.busy
     assert ctx.priority == HWPriority.VERY_LOW
-
-
-def test_st_mode_detection(core):
-    assert core.st_mode()
-    core.contexts[0].load("a", 4)
-    assert core.st_mode()
-    core.contexts[1].load("b", 4)
-    assert not core.st_mode()
 
 
 def test_context_speed_equal_priorities(core):

@@ -74,15 +74,6 @@ def test_stop_when_predicate():
     assert fired == [0, 1, 2]
 
 
-def test_stop_requested_from_event():
-    sim = Simulator()
-    fired = []
-    sim.after(1.0, lambda: (fired.append(1), sim.stop()))
-    sim.after(2.0, lambda: fired.append(2))
-    sim.run()
-    assert fired == [1]
-
-
 def test_event_exactly_at_horizon_fires():
     """An event at precisely t == until is *inside* the horizon: only
     events strictly beyond it stay queued."""
@@ -122,31 +113,19 @@ def test_empty_queue_after_final_event_still_clamps_to_horizon():
 
 
 def test_stop_from_inside_callback_with_horizon():
-    """stop() requested from inside an event callback halts the loop
+    """A ``stop_when`` an event callback makes true halts the loop
     after that event even when later events sit inside the horizon."""
     sim = Simulator()
     fired = []
-    sim.at(1.0, lambda: (fired.append(1), sim.stop()))
+    sim.at(1.0, lambda: fired.append(1))
     sim.at(2.0, lambda: fired.append(2))
-    end = sim.run(until=5.0)
+    end = sim.run(until=5.0, stop_when=lambda: fired == [1])
     assert fired == [1]
     assert end == 1.0
     # the stopped run left the pending event intact; a fresh run resumes
     end = sim.run(until=5.0)
     assert fired == [1, 2]
     assert end == 5.0
-
-
-def test_stop_from_callback_skips_same_instant_events():
-    """stop() is honoured between events even at an identical timestamp
-    (the event being processed completes, nothing else fires)."""
-    sim = Simulator()
-    fired = []
-    sim.at(1.0, lambda: (fired.append("a"), sim.stop()), priority=0)
-    sim.at(1.0, lambda: fired.append("b"), priority=1)
-    sim.run()
-    assert fired == ["a"]
-    assert len(sim.queue) == 1
 
 
 def test_events_can_schedule_events():
@@ -347,23 +326,17 @@ def test_batched_delivery_skips_events_cancelled_within_batch():
     assert order == ["kept"]
 
 
-def test_stop_inside_batch_halts_before_next_event():
-    sim = Simulator()
-    order = []
-    sim.at(1.0, lambda: (order.append("a"), sim.stop()), priority=0)
-    sim.at(1.0, lambda: order.append("b"), priority=1)
-    sim.run()
-    assert order == ["a"]
-    assert len(sim.queue) == 1  # "b" still pending
-
-
 def test_stop_when_inside_batch_halts_before_next_event():
+    """The stop is honoured between events even at an identical
+    timestamp: the event being processed completes, the rest of the
+    instant stays queued."""
     sim = Simulator()
     order = []
     sim.at(1.0, lambda: order.append("a"), priority=0)
     sim.at(1.0, lambda: order.append("b"), priority=1)
     sim.run(stop_when=lambda: bool(order))
     assert order == ["a"]
+    assert len(sim.queue) == 1  # "b" still pending
 
 
 def test_batched_loop_enforces_event_limit():

@@ -23,9 +23,7 @@ def make_kernel():
 
 @pytest.fixture
 def oracles():
-    kernel = make_kernel()
-    yield install(kernel)
-    decode.disable_validation()
+    return install(make_kernel())
 
 
 # ----------------------------------------------------------------------
@@ -47,13 +45,9 @@ def test_production_kernel_has_no_oracles(monkeypatch):
 
 def test_env_flag_installs_oracles_on_new_kernels(monkeypatch):
     monkeypatch.setenv("REPRO_VALIDATE", "1")
-    try:
-        kernel = make_kernel()
-        assert isinstance(kernel.oracles, KernelOracles)
-        assert kernel.sim.oracle is kernel.oracles
-        assert decode._VALIDATE
-    finally:
-        decode.disable_validation()
+    kernel = make_kernel()
+    assert isinstance(kernel.oracles, KernelOracles)
+    assert kernel.sim.oracle is kernel.oracles
 
 
 def test_maybe_install_respects_disabled_flag(monkeypatch):
@@ -66,39 +60,33 @@ def test_maybe_install_respects_disabled_flag(monkeypatch):
 # ----------------------------------------------------------------------
 def test_oracles_run_clean_on_real_workload(monkeypatch):
     monkeypatch.setenv("REPRO_VALIDATE", "1")
-    try:
-        kernel = make_kernel()
+    kernel = make_kernel()
 
-        def prog(work, pause):
-            def gen():
-                for _ in range(3):
-                    yield Compute(work)
-                    yield Sleep(pause)
+    def prog(work, pause):
+        def gen():
+            for _ in range(3):
+                yield Compute(work)
+                yield Sleep(pause)
 
-            return gen()
+        return gen()
 
-        kernel.spawn("a", prog(0.01, 0.002), cpu=0)
-        kernel.spawn("b", prog(0.02, 0.001), cpu=1)
-        kernel.run()
-        oracles = kernel.oracles
-        assert oracles.checks > 0
-        assert oracles.violations == 0
-        assert sum(oracles.cpu_busy.values()) > 0.0
-    finally:
-        decode.disable_validation()
+    kernel.spawn("a", prog(0.01, 0.002), cpu=0)
+    kernel.spawn("b", prog(0.02, 0.001), cpu=1)
+    kernel.run()
+    oracles = kernel.oracles
+    assert oracles.checks > 0
+    assert oracles.violations == 0
+    assert sum(oracles.cpu_busy.values()) > 0.0
 
 
 def test_oracles_run_clean_on_differential_scenarios(monkeypatch):
     """Fluid runs of the differential harness pass every oracle."""
     monkeypatch.setenv("REPRO_VALIDATE", "1")
-    try:
-        from repro.validate.fuzz import generate_scenario
-        from repro.validate.scenario import build_kernel_run
+    from repro.validate.fuzz import generate_scenario
+    from repro.validate.scenario import build_kernel_run
 
-        for i in range(5):
-            build_kernel_run(generate_scenario(7, i))
-    finally:
-        decode.disable_validation()
+    for i in range(5):
+        build_kernel_run(generate_scenario(7, i))
 
 
 # ----------------------------------------------------------------------
@@ -218,16 +206,13 @@ def test_audit_catches_a_removed_banking_site(monkeypatch, site):
     """With one transition no longer banking its state time, the
     end-of-run audit fails the run loudly."""
     monkeypatch.setenv("REPRO_VALIDATE", "1")
-    try:
-        kernel = _shared_cpu_run()  # clean as shipped
-        a, b = kernel.tasks.values()
-        assert all(a.state_times(kernel.now)) and b.sum_ready_time > 0
-        method, counter = BANKING_SITES[site]
-        monkeypatch.setattr(Kernel, method, without_banking(method, counter))
-        with pytest.raises(InvariantViolation, match="banked"):
-            _shared_cpu_run()
-    finally:
-        decode.disable_validation()
+    kernel = _shared_cpu_run()  # clean as shipped
+    a, b = kernel.tasks.values()
+    assert all(a.state_times(kernel.now)) and b.sum_ready_time > 0
+    method, counter = BANKING_SITES[site]
+    monkeypatch.setattr(Kernel, method, without_banking(method, counter))
+    with pytest.raises(InvariantViolation, match="banked"):
+        _shared_cpu_run()
 
 
 def test_on_event_rejects_cancelled_delivery(oracles):
@@ -342,41 +327,27 @@ def test_live_detector_never_trips_the_oracle(monkeypatch):
     """The adaptive experiment, oracles on: every detector decision is
     legal by construction — and the iteration oracle sees real data."""
     monkeypatch.setenv("REPRO_VALIDATE", "1")
-    try:
-        from repro.experiments import metbench
+    from repro.experiments import metbench
 
-        metbench.run_one("adaptive", iterations=4, keep_trace=False)
-    finally:
-        decode.disable_validation()
+    metbench.run_one("adaptive", iterations=4, keep_trace=False)
 
 
 # ----------------------------------------------------------------------
-# Decode-share self-checks
+# Decode shares: checked once, at import, and never switched
 # ----------------------------------------------------------------------
-def test_decode_validation_accepts_all_normal_pairs():
-    decode.enable_validation()
-    try:
-        for pa in range(8):
-            for pb in range(8):
-                fa, fb = decode.decode_shares(pa, pb)
-                assert 0.0 <= fa <= 1.0 and 0.0 <= fb <= 1.0
-    finally:
-        decode.disable_validation()
-
-
 def test_decode_validation_catches_bad_background_share(monkeypatch):
-    decode.enable_validation()
-    try:
-        monkeypatch.setattr(decode, "BACKGROUND_SHARE", 1.5)
-        with pytest.raises(decode.DecodeShareError):
-            decode.decode_shares(1, 4)
-    finally:
-        decode.disable_validation()
-
-
-def test_decode_checks_cost_nothing_when_disabled(monkeypatch):
-    """With validation off the self-check must not even run (production
-    pays nothing): a corrupted constant goes unnoticed here on purpose."""
-    decode.disable_validation()
+    """The import-time table build checks every pair: a corrupted
+    constant fails it (and so fails every import, not only validated
+    runs)."""
     monkeypatch.setattr(decode, "BACKGROUND_SHARE", 1.5)
-    decode.decode_shares(1, 4)  # no raise: the check is pay-for-use
+    with pytest.raises(decode.DecodeShareError, match=r"\(1, 2\)"):
+        decode._build_shares_table()
+
+
+def test_install_leaves_decode_shares_untouched():
+    """Validation attaches to one kernel: installing the oracles changes
+    nothing process-wide, so decode arbitration is the same function
+    before and after."""
+    before = decode.decode_shares
+    install(make_kernel())
+    assert decode.decode_shares is before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.policies import SchedPolicy, TaskState
+from repro.kernel.policies import SchedPolicy
 from repro.workloads import MetBench, launch_workload
 from repro.workloads.base import RankSpec, Workload
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.policies import SchedPolicy, TaskState
+from repro.kernel.policies import SchedPolicy
 from repro.workloads.noise import NoiseDaemons, spawn_noise
 from tests.conftest import pure_compute_program
 
