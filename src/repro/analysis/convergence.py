@@ -239,30 +239,3 @@ def auto_eps(
     if floor is None:
         return DEFAULT_EPS
     return max(DEFAULT_EPS, floor + slack)
-
-
-def convergence_from_result(
-    result,
-    eps: float = DEFAULT_EPS,
-    after_index: int = 0,
-    until_index: Optional[int] = None,
-    names: Optional[Iterable[str]] = None,
-) -> ConvergenceMetrics:
-    """Convergence metrics straight from an ``ExperimentResult``.
-
-    Requires the run to have kept its trace (``keep_trace=True``).
-    ``names`` defaults to the result's measured tasks.
-    """
-    trace = getattr(result, "trace", None)
-    if trace is None:
-        raise ValueError(
-            "result has no trace; run the experiment with keep_trace=True"
-        )
-    if names is None:
-        names = list(result.tasks) or None
-    return convergence_metrics(
-        epoch_samples(trace, names=names),
-        eps=eps,
-        after_index=after_index,
-        until_index=until_index,
-    )

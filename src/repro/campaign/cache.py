@@ -152,9 +152,3 @@ class ResultCache:
         tmp = path.with_suffix(".tmp")
         tmp.write_bytes(payload)
         tmp.replace(path)
-
-    @property
-    def hit_ratio(self) -> float:
-        """Hits / lookups over this cache object's lifetime."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

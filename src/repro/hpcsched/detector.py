@@ -281,11 +281,6 @@ class LoadImbalanceDetector:
         self._round_closed.clear()
         self._round_changed = False
 
-    @property
-    def frozen(self) -> bool:
-        """Whether the detector sits in the stable (frozen) state."""
-        return self.state == "frozen"
-
     # ------------------------------------------------------------------
     def _apply(self, task: "Task", priority: int) -> None:
         if self.kernel.oracles is not None:

@@ -88,7 +88,7 @@ class _ReschedBatch:
     def flag(self, kernel: "Kernel", rq: RunQueue) -> None:
         entries = self.entries
         if not entries:
-            self.sim.at(self.sim.now, self.fire, EVPRIO_RESCHED, "resched")
+            self.sim.at(self.sim.now, self.fire, EVPRIO_RESCHED)
         rq.resched_event = entry = (kernel, rq)
         entries.append(entry)
 
@@ -110,7 +110,7 @@ class _ReschedBatch:
         finally:
             del entries[:i]
             if entries:
-                sim.at(sim.now, self.fire, EVPRIO_RESCHED, "resched")
+                sim.at(sim.now, self.fire, EVPRIO_RESCHED)
 
 
 class Kernel:
@@ -137,13 +137,11 @@ class Kernel:
         }
 
         # Hot-path caches.  Hardware contexts never change after machine
-        # construction, and the per-event label strings are interned here
-        # once instead of being re-formatted per context switch.  The
-        # tunables read per event are copied into plain attributes.
+        # construction.  The tunables read per event are copied into
+        # plain attributes.
         self._ctxs: Dict[int, Any] = {
             cpu: self.machine.context(cpu) for cpu in self.machine.cpu_ids
         }
-        self._lbl_tick = {c: f"tick/{c}" for c in self.machine.cpu_ids}
         #: The simulator's reschedule batch, shared by all its kernels.
         batch = getattr(self.sim, "_resched_batch", None)
         if batch is None:
@@ -560,7 +558,6 @@ class Kernel:
             eta,
             lambda: self._phase_complete(cpu, task, epoch),
             priority=EVPRIO_PHASE,
-            label=task.phase_label,
         )
 
     def _phase_complete(self, cpu: int, task: Task, epoch: int) -> None:
@@ -580,7 +577,6 @@ class Kernel:
                     eta,
                     lambda: self._phase_complete(cpu, task, cur),
                     priority=EVPRIO_PHASE,
-                    label=task.phase_label,
                 )
                 return
             # eta == now: the corrected ETA lands on this very instant —
@@ -723,7 +719,6 @@ class Kernel:
                 eta,
                 lambda: self._phase_complete(cpu, task, epoch),
                 priority=EVPRIO_PHASE,
-                label=task.phase_label,
             )
             return
         if eta == task.phase_eta:
@@ -740,7 +735,6 @@ class Kernel:
                 eta,
                 lambda: self._phase_complete(cpu, task, epoch),
                 priority=EVPRIO_PHASE,
-                label=task.phase_label,
             )
             return
         # Slowdown after progress accrued: the pending event fires
@@ -825,7 +819,6 @@ class Kernel:
                 self._tick_period,
                 lambda: self._tick(cpu),
                 priority=EVPRIO_TICK,
-                label=self._lbl_tick[cpu],
             )
 
     def _tick(self, cpu: int) -> None:

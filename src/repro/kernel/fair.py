@@ -17,7 +17,7 @@ an empty queue, 3,572 into a queue of one, none into a queue of two).
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.kernel.policies import FAIR_POLICIES
 from repro.kernel.sched_class import SchedClass
@@ -52,15 +52,13 @@ class CFSQueue:
 
     ``timeline`` holds ``(vruntime, pid, task)`` entries in ascending
     order.  The pid makes every key unique, so the order is total and
-    the task itself is never compared; ``entries`` maps a queued pid to
-    its entry (the double-enqueue guard).
+    the task itself is never compared.
     """
 
-    __slots__ = ("timeline", "entries", "min_vruntime", "total_weight")
+    __slots__ = ("timeline", "min_vruntime", "total_weight")
 
     def __init__(self) -> None:
         self.timeline: List[Tuple[float, int, "Task"]] = []
-        self.entries: Dict[int, Tuple[float, int, "Task"]] = {}
         self.min_vruntime = 0.0
         self.total_weight = 0
 
@@ -68,7 +66,6 @@ class CFSQueue:
         """Place a task on the timeline at its current vruntime."""
         entry = (task.vruntime, task.pid, task)
         insort(self.timeline, entry)
-        self.entries[task.pid] = entry
         self.total_weight += nice_to_weight(task.nice)
 
     def leftmost(self) -> Optional["Task"]:
@@ -98,8 +95,12 @@ class FairClass(SchedClass):
     # ------------------------------------------------------------------
     def enqueue_task(self, rq: "RunQueue", task: "Task") -> None:
         q = rq.class_queues[self.name]
-        if task.pid in q.entries:
-            raise ValueError(f"{task!r} double-enqueued in CFS")
+        # The double-enqueue guard scans the timeline, which is short
+        # (see the module docstring); a pid -> entry dict would cost a
+        # store per enqueue and a delete per pick instead.
+        for entry in q.timeline:
+            if entry[2] is task:
+                raise ValueError(f"{task!r} double-enqueued in CFS")
         q.insert(task)
         self._update_min_vruntime(rq)
 
@@ -108,7 +109,6 @@ class FairClass(SchedClass):
         if q is None or not q.timeline:
             return None
         task = q.timeline.pop(0)[2]
-        del q.entries[task.pid]
         q.total_weight -= nice_to_weight(task.nice)
         return task
 

@@ -84,7 +84,7 @@ class Sleep(KernelRequest):
     def execute(self, kernel: "Kernel", task: "Task") -> bool:
         if self.duration == 0.0:
             return True
-        kernel.sim.after(self.duration, lambda: kernel.wake_up(task), label="sleep-end")
+        kernel.sim.after(self.duration, lambda: kernel.wake_up(task))
         return False
 
 

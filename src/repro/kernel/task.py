@@ -32,7 +32,7 @@ class Task:
     __slots__ = (
         "pid", "name", "program", "policy", "nice", "rt_priority",
         "perf_profile", "state", "cpu", "hw_priority",
-        "phase_label", "sum_exec_runtime", "exec_start", "vruntime",
+        "sum_exec_runtime", "exec_start", "vruntime",
         "rr_slice_left", "last_enqueue_time", "wakeup_pending", "daemon",
         "sleep_reason", "sleeping_on_wait", "phase_remaining",
         "phase_rate", "phase_started_at", "phase_event", "phase_epoch",
@@ -72,10 +72,6 @@ class Task:
         self.cpu: Optional[int] = None
         #: POWER5 hardware thread priority restored on context switch.
         self.hw_priority: int = int(DEFAULT_PRIORITY)
-        #: Pre-formatted label for phase-completion events (the kernel
-        #: schedules one per compute phase; formatting it per event is
-        #: measurable on the hot path).
-        self.phase_label = f"phase/{pid}"
 
         # -- accounting ------------------------------------------------
         #: Total CPU time consumed (seconds of occupancy, regardless of
@@ -144,16 +140,8 @@ class Task:
         self.on_exit: Optional[Callable[["Task"], None]] = None
 
     # ------------------------------------------------------------------
-    # Convenience predicates
+    # Accounting
     # ------------------------------------------------------------------
-    @property
-    def runnable(self) -> bool:
-        return self.state in (TaskState.READY, TaskState.RUNNING)
-
-    @property
-    def alive(self) -> bool:
-        return self.state != TaskState.EXITED
-
     def state_times(self, end: float) -> Tuple[float, float, float]:
         """Running, ready and waiting time up to ``end``, the current
         state closed there as a trace timeline's ``finish`` does."""

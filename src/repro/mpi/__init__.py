@@ -11,8 +11,8 @@ Semantics implemented:
   ``ANY_SOURCE``/``ANY_TAG`` wildcards and per-channel FIFO ordering,
 * non-blocking ``isend``/``irecv`` returning request handles and
   ``waitall`` (BT-MZ's neighbor-exchange pattern),
-* collectives: ``barrier`` (MetBench's synchronization), ``bcast``,
-  ``reduce`` and ``allreduce`` with log2-tree latency models,
+* collectives: ``barrier`` (MetBench's synchronization), ``bcast``
+  and ``allreduce`` with log2-tree latency models,
 * a configurable latency model (base latency + size/bandwidth).
 """
 

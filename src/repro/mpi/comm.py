@@ -15,7 +15,7 @@ class Communicator:
     _next_id = 0
 
     def __init__(self, ranks: Sequence[int], name: str = "world") -> None:
-        #: Ordered members (``split`` relies on order).
+        #: Ordered members.
         self.ranks: Tuple[int, ...] = tuple(ranks)
         #: The same members as a set: O(1) membership on every
         #: collective arrival, however many ranks the job has.
@@ -32,21 +32,6 @@ class Communicator:
 
     def __contains__(self, rank: int) -> bool:
         return rank in self._members
-
-    def split(self, color_of) -> "dict":
-        """MPI_Comm_split: partition ranks by ``color_of(rank)``.
-
-        Returns ``{color: Communicator}``; every member must use the
-        *same* returned communicator objects (split once at the root of
-        the program, not per rank).
-        """
-        groups: dict = {}
-        for rank in self.ranks:
-            groups.setdefault(color_of(rank), []).append(rank)
-        return {
-            color: Communicator(ranks, name=f"{self.name}/split{color}")
-            for color, ranks in groups.items()
-        }
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Communicator {self.name!r} size={self.size}>"

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.kernel.policies import SchedPolicy
-from repro.kernel.syscalls import Compute, KernelRequest, SetScheduler, Sleep
+from repro.kernel.syscalls import Compute, KernelRequest, SetScheduler
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.requests import RequestHandle
 
@@ -98,7 +98,7 @@ class WaitallRequest(KernelRequest):
 
 
 class CollectiveRequest(KernelRequest):
-    """Barrier/bcast/reduce/allreduce arrival."""
+    """Barrier/bcast/allreduce arrival."""
 
     is_wait = True
 
@@ -125,18 +125,10 @@ class MPIRank:
     def world(self) -> Communicator:
         return self.runtime.world
 
-    @property
-    def size(self) -> int:
-        return self.world.size
-
     # -- compute / kernel -------------------------------------------------
     def compute(self, work: float) -> Compute:
         """Execute ``work`` units (seconds at SMT-equal baseline speed)."""
         return Compute(work)
-
-    def sleep(self, duration: float) -> Sleep:
-        """Block for ``duration`` simulated seconds (non-MPI sleep)."""
-        return Sleep(duration)
 
     def setscheduler_hpc(self) -> SetScheduler:
         """Opt into the SCHED_HPC policy — the single source change an
@@ -171,31 +163,6 @@ class MPIRank:
         """MPI_Waitall: block until every handle has completed."""
         return WaitallRequest(self.runtime, self.rank, handles)
 
-    def wait(self, handle: RequestHandle) -> WaitallRequest:
-        """MPI_Wait: block until one request completes."""
-        return WaitallRequest(self.runtime, self.rank, [handle])
-
-    def sendrecv(
-        self,
-        dest: int,
-        source: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        size: int = 0,
-    ) -> WaitallRequest:
-        """MPI_Sendrecv: simultaneous exchange (deadlock-free by
-        construction: both transfers are posted before blocking)."""
-        handles = [
-            self.isend(dest, tag=sendtag, size=size),
-            self.irecv(source, tag=recvtag),
-        ]
-        return WaitallRequest(self.runtime, self.rank, handles)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """MPI_Iprobe: is a matching message already delivered?
-        Plain call — do not yield."""
-        return self.runtime.has_message(self.rank, source, tag)
-
     # -- collectives --------------------------------------------------------
     def barrier(self, comm: Optional[Communicator] = None) -> CollectiveRequest:
         """MPI_Barrier over ``comm`` (default: world)."""
@@ -205,22 +172,6 @@ class MPIRank:
         """MPI_Bcast (timing only; data is not modelled)."""
         return CollectiveRequest(self.runtime, comm or self.world, "bcast", self.rank)
 
-    def reduce(self, comm: Optional[Communicator] = None) -> CollectiveRequest:
-        """MPI_Reduce (timing only)."""
-        return CollectiveRequest(self.runtime, comm or self.world, "reduce", self.rank)
-
     def allreduce(self, comm: Optional[Communicator] = None) -> CollectiveRequest:
         """MPI_Allreduce (timing only)."""
         return CollectiveRequest(self.runtime, comm or self.world, "allreduce", self.rank)
-
-    def gather(self, comm: Optional[Communicator] = None) -> CollectiveRequest:
-        """MPI_Gather (timing only)."""
-        return CollectiveRequest(self.runtime, comm or self.world, "gather", self.rank)
-
-    def scatter(self, comm: Optional[Communicator] = None) -> CollectiveRequest:
-        """MPI_Scatter (timing only)."""
-        return CollectiveRequest(self.runtime, comm or self.world, "scatter", self.rank)
-
-    def alltoall(self, comm: Optional[Communicator] = None) -> CollectiveRequest:
-        """MPI_Alltoall (timing only)."""
-        return CollectiveRequest(self.runtime, comm or self.world, "alltoall", self.rank)

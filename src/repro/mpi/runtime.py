@@ -111,10 +111,6 @@ class MPIRuntime:
             self._world = Communicator(sorted(self.tasks), name="world")
         return self._world
 
-    def state(self, rank: int) -> _RankState:
-        """The rank's matching state (mostly for tests/inspection)."""
-        return self._states[rank]
-
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
@@ -158,7 +154,6 @@ class MPIRuntime:
             msg.arrival_time,
             lambda: self._deliver(msg),
             priority=_EVPRIO_DELIVERY,
-            label="mpi-deliver",
         )
         return msg
 
@@ -178,12 +173,6 @@ class MPIRuntime:
         """Consume a matching delivered message, if any (blocking-recv
         fast path)."""
         return self._match_unexpected(self._states[rank], source, tag)
-
-    def has_message(self, rank: int, source: int, tag: int) -> bool:
-        """Non-consuming probe of the delivered-message queue."""
-        return any(
-            msg.matches(source, tag) for msg in self._states[rank].unexpected
-        )
 
     def set_blocking_recv(self, rank: int, source: int, tag: int) -> None:
         """Park ``rank`` on a blocking receive for (source, tag)."""
@@ -282,7 +271,6 @@ class MPIRuntime:
                 self._tree_delay(comm.size),
                 lambda: self._release(waiters),
                 priority=_EVPRIO_DELIVERY,
-                label=f"mpi-{kind}-release",
             )
         return False
 

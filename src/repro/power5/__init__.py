@@ -20,8 +20,6 @@ from repro.power5.priorities import (
     PrivilegeLevel,
     PriorityError,
     OR_NOP_REGISTER,
-    or_nop_for_priority,
-    priority_for_or_nop,
     required_privilege,
     can_set_priority,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "PrivilegeLevel",
     "PriorityError",
     "OR_NOP_REGISTER",
-    "or_nop_for_priority",
-    "priority_for_or_nop",
     "required_privilege",
     "can_set_priority",
     "decode_window",

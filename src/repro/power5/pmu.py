@@ -51,11 +51,6 @@ class ContextCounters:
             else 0.0
         )
 
-    @property
-    def smt_time(self) -> float:
-        """Busy time spent sharing the core with an active sibling."""
-        return self.busy_time - self.st_time
-
 
 @dataclass
 class _Snapshot:

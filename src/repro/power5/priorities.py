@@ -65,8 +65,6 @@ OR_NOP_REGISTER: Dict[HWPriority, int] = {
     HWPriority.VERY_HIGH: 7,
 }
 
-_REGISTER_TO_PRIORITY = {reg: prio for prio, reg in OR_NOP_REGISTER.items()}
-
 #: Minimum privilege required to set each priority level (Table II).
 _REQUIRED_PRIVILEGE: Dict[HWPriority, PrivilegeLevel] = {
     HWPriority.THREAD_OFF: PrivilegeLevel.HYPERVISOR,
@@ -98,35 +96,6 @@ def coerce_priority(value: int) -> HWPriority:
         raise PriorityError(f"hardware priority {value!r} not in 0..7") from exc
 
 
-def or_nop_for_priority(priority: int) -> str:
-    """Return the ``or X,X,X`` mnemonic that sets ``priority``.
-
-    Raises :class:`PriorityError` for priority 0, which cannot be entered
-    via the or-nop interface (the hypervisor switches threads off through
-    a different mechanism).
-    """
-    prio = coerce_priority(priority)
-    if prio not in OR_NOP_REGISTER:
-        raise PriorityError(f"priority {prio} has no or-nop encoding")
-    reg = OR_NOP_REGISTER[prio]
-    return f"or {reg},{reg},{reg}"
-
-
-def priority_for_or_nop(register: int) -> HWPriority:
-    """Decode the priority set by ``or register,register,register``.
-
-    Raises :class:`PriorityError` if the register number is not one of the
-    special priority-setting encodings (in which case the instruction is a
-    plain no-op with no priority effect on real hardware).
-    """
-    try:
-        return _REGISTER_TO_PRIORITY[register]
-    except KeyError as exc:
-        raise PriorityError(
-            f"or {register},{register},{register} does not encode a priority"
-        ) from exc
-
-
 def required_privilege(priority: int) -> PrivilegeLevel:
     """Minimum privilege level required to set ``priority`` (Table II)."""
     return _REQUIRED_PRIVILEGE[coerce_priority(priority)]
@@ -135,15 +104,3 @@ def required_privilege(priority: int) -> PrivilegeLevel:
 def can_set_priority(priority: int, privilege: PrivilegeLevel) -> bool:
     """Whether code at ``privilege`` may set ``priority``."""
     return privilege >= required_privilege(priority)
-
-
-def settable_range(privilege: PrivilegeLevel) -> range:
-    """The contiguous priority range settable at ``privilege``.
-
-    User: 2..4, Supervisor: 1..6, Hypervisor: 0..7 — matching Table II.
-    """
-    if privilege == PrivilegeLevel.USER:
-        return range(2, 5)
-    if privilege == PrivilegeLevel.SUPERVISOR:
-        return range(1, 7)
-    return range(0, 8)

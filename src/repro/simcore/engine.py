@@ -11,8 +11,8 @@ with :meth:`Simulator.at` / :meth:`Simulator.after`; the engine guarantees:
 The run loop is the hottest code in the repository: every simulated
 context switch, tick, wakeup and phase completion pays it once.  It is
 therefore hand-flattened — one loop drains a whole same-instant bucket
-per pass, and ``at``/``after`` inline the queue push instead of going
-through ``EventQueue.push``.
+per pass, and ``at``/``after`` each push into the queue's buckets
+directly, with no queue method in between.
 """
 
 from __future__ import annotations
@@ -105,14 +105,13 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    # Scheduling API (hand-inlined EventQueue.push)
+    # Scheduling API: the queue's only push sites
     # ------------------------------------------------------------------
     def at(
         self,
         time: float,
         fn: Callable[[], Any],
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule ``fn`` at absolute simulated ``time``."""
         if not time >= self.now:  # also rejects NaN
@@ -123,17 +122,26 @@ class Simulator:
         seq = queue._seq
         queue._seq = seq + 1
         order = seq if priority == 0 else priority * SEQ_SPAN + seq
-        ev = Event()  # see EventQueue.push on the += form
-        ev += (order, fn, time, label, queue)
+        # Built empty then extended in place: list.__iadd__ skips the
+        # iterable-copy constructor, measurably cheaper on this path.
+        ev = Event()
+        ev += (order, fn, time, queue)
         buckets = queue._buckets
         b = buckets.get(time)
         if b is None:
             buckets[time] = ev
             heapq.heappush(queue._times, time)
         elif type(b) is list:
-            # Same invariant as EventQueue.push: flag iff the current
-            # tail outranks this event (exact packed-order compare —
-            # in-order priority pushes must not flag).
+            # An append keeps a sorted bucket sorted *iff* the current
+            # tail does not outrank it.  The packed-order compare is the
+            # exact condition — a priority push that still lands in
+            # order (the common resched cascade: p5 after p5, or p5
+            # after a tail of lower-priority wakeups) must NOT flag, or
+            # every barrier-width instant pays one tail sort per event.
+            # An already-flagged bucket is sorted at drain regardless,
+            # so comparing only the tail stays sound.  A list bucket is
+            # never empty (the run loop and _compact prune emptied
+            # instants), so the tail index is safe.
             if b[-1][0] > order:
                 queue._unsorted.add(time)
             b.append(ev)
@@ -148,7 +156,6 @@ class Simulator:
         delay: float,
         fn: Callable[[], Any],
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule ``fn`` after ``delay`` seconds of simulated time."""
         if not delay >= 0:  # also rejects NaN
@@ -158,15 +165,15 @@ class Simulator:
         queue._seq = seq + 1
         order = seq if priority == 0 else priority * SEQ_SPAN + seq
         t = self.now + delay
-        ev = Event()  # see EventQueue.push on the += form
-        ev += (order, fn, t, label, queue)
+        ev = Event()  # see at() on the += form
+        ev += (order, fn, t, queue)
         buckets = queue._buckets
         b = buckets.get(t)
         if b is None:
             buckets[t] = ev
             heapq.heappush(queue._times, t)
         elif type(b) is list:
-            # Same invariant as EventQueue.push (see at()).
+            # Same invariant as at(): flag iff the tail outranks it.
             if b[-1][0] > order:
                 queue._unsorted.add(t)
             b.append(ev)
@@ -248,7 +255,7 @@ class Simulator:
                         if fn is None:
                             queue._corpses -= 1  # cancelled before delivery
                             continue
-                        ev[4] = False
+                        ev[3] = False
                         queue._delivered += 1
                         processed += 1
                         if processed > max_events:

@@ -16,8 +16,8 @@ rescheds) and *most pushes carry priority 0*.
   instant is an O(1) dict hit + list append; only the *first* event of
   an instant pays a heap push, and the heap holds timestamps, not
   events, so it stays small.
-* :class:`Event` is a 5-slot ``list`` subclass ``[order, fn, time,
-  label, queue]``.  ``order`` folds ``(priority, seq)`` into one integer
+* :class:`Event` is a 4-slot ``list`` subclass ``[order, fn, time,
+  queue]``.  ``order`` folds ``(priority, seq)`` into one integer
   (``priority * SEQ_SPAN + seq``), so sorting a bucket compares plain
   ints in C.  Cancellation is ``fn is None``; the queue slot doubles as
   the lifecycle marker: the owning queue while pending, ``False`` once
@@ -29,9 +29,10 @@ rescheds) and *most pushes carry priority 0*.
   after p5) never flag and never sort.  A push whose tail outranks it
   flags the timestamp in ``_unsorted`` and the drain sorts once per
   flagged instant.  The invariant (proof in DESIGN §13): after every
-  push the bucket is either sorted or flagged — a flagged bucket stays
-  flagged until the drain sorts it, and an unflagged bucket only ever
-  received in-order appends.
+  push — :meth:`Simulator.at <repro.simcore.engine.Simulator.at>` and
+  ``after`` are the only push sites — the bucket is either sorted or
+  flagged: a flagged bucket stays flagged until the drain sorts it,
+  and an unflagged bucket only ever received in-order appends.
 
 Cancellation is *lazy*: :meth:`Event.cancel` clears the callback and the
 drain skips such corpses, O(1) per cancel.  ``len()`` is still exact (it
@@ -43,7 +44,7 @@ pinned against a sorted-list model in ``tests/simcore/test_queue_property.py``.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 #: ``order = priority * SEQ_SPAN + seq`` packs the (priority, seq)
 #: tie-break into one int.  2^48 sequence numbers per priority level is
@@ -56,7 +57,7 @@ SEQ_SPAN = 1 << 48
 class Event(list):
     """A scheduled callback.
 
-    Layout: ``[order, fn, time, label, queue]``.  The queue slot is the
+    Layout: ``[order, fn, time, queue]``.  The queue slot is the
     owning :class:`EventQueue` while pending, ``False`` after delivery,
     ``None`` after cancellation.  The delivered marker keeps a bucket
     scan from counting the consumed prefix of the bucket being drained
@@ -75,45 +76,20 @@ class Event(list):
         return self[2]
 
     @property
-    def priority(self) -> int:
-        return self[0] // SEQ_SPAN
-
-    @property
-    def seq(self) -> int:
-        return self[0] % SEQ_SPAN
-
-    @property
-    def fn(self):
-        return self[1]
-
-    @property
-    def label(self) -> str:
-        return self[3]
-
-    @property
     def cancelled(self) -> bool:
         return self[1] is None
-
-    @property
-    def active(self) -> bool:
-        return self[1] is not None
-
-    @property
-    def _queue(self):
-        q = self[4]
-        return q if q.__class__ is EventQueue else None
 
     def cancel(self) -> None:
         """Mark the event so the queue discards it instead of firing it."""
         if self[1] is None:
             return
         self[1] = None
-        q = self[4]
+        q = self[3]
         if q.__class__ is EventQueue:
             # Pending: keep the queue's counters exact.  A post-delivery
             # cancel leaves the delivered marker (False) and the
             # counters untouched.
-            self[4] = None
+            self[3] = None
             q._cancelled += 1
             corpses = q._corpses + 1
             if corpses > 64 and corpses > len(q) and not q._draining:
@@ -123,10 +99,7 @@ class Event(list):
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self[1] is None else "pending"
-        return (
-            f"<Event t={self[2]:.9f} prio={self[0] // SEQ_SPAN} "
-            f"{self[3]!r} {state}>"
-        )
+        return f"<Event t={self[2]:.9f} prio={self[0] // SEQ_SPAN} {state}>"
 
 
 class EventQueue:
@@ -172,47 +145,6 @@ class EventQueue:
     def __len__(self) -> int:
         return self._seq - self._delivered - self._cancelled
 
-    # -- push ----------------------------------------------------------
-    def push(
-        self,
-        time: float,
-        fn: Callable[[], Any],
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``fn`` at absolute ``time`` and return its handle."""
-        seq = self._seq
-        self._seq = seq + 1
-        order = seq if priority == 0 else priority * SEQ_SPAN + seq
-        # Built empty then extended in place: list.__iadd__ skips the
-        # iterable-copy constructor, measurably cheaper on this path.
-        ev = Event()
-        ev += (order, fn, time, label, self)
-        buckets = self._buckets
-        b = buckets.get(time)
-        if b is None:
-            buckets[time] = ev
-            heapq.heappush(self._times, time)
-        elif type(b) is list:
-            # An append keeps a sorted bucket sorted *iff* the current
-            # tail does not outrank it.  The packed-order compare is the
-            # exact condition — a priority push that still lands in
-            # order (the common resched cascade: p5 after p5, or p5
-            # after a tail of lower-priority wakeups) must NOT flag, or
-            # every barrier-width instant pays one tail sort per event.
-            # An already-flagged bucket is sorted at drain regardless,
-            # so comparing only the tail stays sound.  A list bucket is
-            # never empty (the run loop and _compact prune emptied
-            # instants), so the tail index is safe.
-            if b[-1][0] > order:
-                self._unsorted.add(time)
-            b.append(ev)
-        else:
-            buckets[time] = [b, ev]
-            if b[0] > order:
-                self._unsorted.add(time)
-        return ev
-
     # -- bulk operations ----------------------------------------------
     def _compact(self) -> None:
         """Drop cancelled corpses from every bucket and prune emptied
@@ -225,11 +157,11 @@ class EventQueue:
         survivors: dict = {}
         for t, b in self._buckets.items():
             if type(b) is list:
-                keep = [ev for ev in b if ev[4].__class__ is EventQueue]
+                keep = [ev for ev in b if ev[3].__class__ is EventQueue]
                 if not keep:
                     continue
                 survivors[t] = keep[0] if len(keep) == 1 else keep
-            elif b[4].__class__ is EventQueue:
+            elif b[3].__class__ is EventQueue:
                 survivors[t] = b
         self._buckets.clear()
         self._buckets.update(survivors)
@@ -246,9 +178,9 @@ class EventQueue:
         for t, b in self._buckets.items():
             if type(b) is list:
                 for ev in b:
-                    if ev[4].__class__ is EventQueue:
+                    if ev[3].__class__ is EventQueue:
                         yield t, ev
-            elif b[4].__class__ is EventQueue:
+            elif b[3].__class__ is EventQueue:
                 yield t, b
 
     def live_count_check(self) -> Tuple[int, int]:

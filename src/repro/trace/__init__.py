@@ -16,7 +16,7 @@ capabilities for the simulated kernel:
 
 from repro.trace.records import TraceEvent, Interval, TaskTimeline, State
 from repro.trace.collector import TraceCollector
-from repro.trace.stats import TaskStats, compute_stats, utilization
+from repro.trace.stats import TaskStats, compute_stats
 from repro.trace.gantt import render_gantt
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "TraceCollector",
     "TaskStats",
     "compute_stats",
-    "utilization",
     "render_gantt",
 ]

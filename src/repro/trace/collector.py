@@ -60,10 +60,6 @@ class TraceCollector:
         for tl in self.timelines.values():
             tl.finish(time)
 
-    def timeline(self, pid: int) -> TaskTimeline:
-        """The timeline of the task with ``pid``."""
-        return self.timelines[pid]
-
     def by_name(self, name: str) -> TaskTimeline:
         """The (first) timeline whose task has ``name``."""
         for tl in self.timelines.values():

@@ -10,7 +10,7 @@ original tooling is represented in the reproduction.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.trace.collector import TraceCollector
 from repro.trace.records import State
@@ -81,8 +81,3 @@ def export_prv(trace: TraceCollector, end_time: float, app_name: str = "repro") 
     records.sort(key=lambda r: r[0])
     lines.extend(r[1] for r in records)
     return "\n".join(lines) + "\n"
-
-
-def export_names(trace: TraceCollector) -> Dict[int, str]:
-    """pid -> task name mapping (the .row file in real PARAVER)."""
-    return {pid: tl.name for pid, tl in sorted(trace.timelines.items())}

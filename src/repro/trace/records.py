@@ -39,10 +39,6 @@ class Interval(NamedTuple):
     state: State
     cpu: Optional[int] = None
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 class TaskTimeline:
     """Ordered state intervals of one task."""
@@ -81,9 +77,3 @@ class TaskTimeline:
             if hi > lo:
                 total += hi - lo
         return total
-
-    @property
-    def span(self) -> float:
-        if not self.intervals:
-            return 0.0
-        return self.intervals[-1].end - self.intervals[0].start

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.trace.collector import TraceCollector
-from repro.trace.records import State, TaskTimeline
+from repro.trace.records import State
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,6 @@ class TaskStats:
     def utilization(self) -> float:
         """Fraction of lifetime spent computing, app view (0..1)."""
         return (self.running + self.ready) / self.span if self.span > 0 else 0.0
-
-
-def utilization(timeline: TaskTimeline, start: float = 0.0, end: float = float("inf")) -> float:
-    """CPU utilization of a task within a time window."""
-    run = timeline.time_in(State.RUNNING, start, end)
-    ready = timeline.time_in(State.READY, start, end)
-    wait = timeline.time_in(State.WAITING, start, end)
-    total = run + ready + wait
-    return run / total if total > 0 else 0.0
 
 
 def compute_stats(

@@ -24,7 +24,7 @@ event inside it) to debug.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.validate.reference import ReferenceResult, ReferenceSimulator
 from repro.validate.scenario import (
@@ -293,21 +293,3 @@ def shrink(
         label=(scenario.label + "+shrunk") if scenario.label else "shrunk",
     )
     return run_differential(final, dt=dt, mutate_task=mutate_task)
-
-
-def logs_as_text(result: DifferentialResult, limit: int = 40) -> str:
-    """Human-readable side-by-side dump of the two event logs."""
-    lines: List[str] = []
-    for spec in result.scenario.tasks:
-        flog = dict(result.fluid.logs.get(spec.name, []))
-        rlog = dict(result.reference.logs.get(spec.name, []))
-        lines.append(f"{spec.name}:")
-        for i, op in enumerate(spec.ops[:limit]):
-            ft = flog.get(i)
-            rt = rlog.get(i)
-            f_s = f"{ft:.9f}" if ft is not None else "—"
-            r_s = f"{rt:.9f}" if rt is not None else "—"
-            lines.append(
-                f"  op[{i}] {op.describe():<22} fluid={f_s:<14} ref={r_s}"
-            )
-    return "\n".join(lines)

@@ -17,12 +17,7 @@
 
 Each workload is described by :class:`repro.workloads.base.RankSpec`
 entries and launched with :func:`repro.workloads.base.launch_workload`.
-Workload *classes* are listed in :data:`WORKLOADS` keyed by their
-``name`` attribute; :func:`resolve` looks one up with an error message
-that names the valid choices.
 """
-
-from typing import Dict, Tuple, Type
 
 from repro.workloads.base import (
     RankSpec,
@@ -42,46 +37,8 @@ from repro.workloads.synth import (
     SyntheticConvergence,
     SyntheticScatter,
     calculate_work,
-    realized_imbalance,
     unbalanced_sweep,
 )
-
-#: Every launchable workload class, keyed by its ``name`` attribute.
-WORKLOADS: Dict[str, Type[Workload]] = {
-    cls.name: cls
-    for cls in (
-        MetBench,
-        MetBenchVar,
-        BTMZ,
-        Siesta,
-        AMRDrift,
-        SyntheticScatter,
-        SyntheticConvergence,
-        LocalBad,
-        OffloadLatency,
-    )
-}
-
-
-def available() -> Tuple[str, ...]:
-    """The registered workload names, sorted."""
-    return tuple(sorted(WORKLOADS))
-
-
-def resolve(name: str) -> Type[Workload]:
-    """Look up a workload class by its registered name.
-
-    Raises :class:`KeyError` naming the valid workloads, so a typo in a
-    CLI flag or campaign spec is self-diagnosing.
-    """
-    try:
-        return WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; valid workloads: "
-            + ", ".join(available())
-        ) from None
-
 
 __all__ = [
     "RankSpec",
@@ -100,9 +57,5 @@ __all__ = [
     "LocalBad",
     "OffloadLatency",
     "calculate_work",
-    "realized_imbalance",
     "unbalanced_sweep",
-    "WORKLOADS",
-    "available",
-    "resolve",
 ]

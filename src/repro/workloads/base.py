@@ -66,10 +66,6 @@ class LaunchedWorkload:
     runtime: MPIRuntime
     tasks: Dict[str, Task] = field(default_factory=dict)
 
-    def task(self, name: str) -> Task:
-        """The kernel task behind the rank named ``name``."""
-        return self.tasks[name]
-
 
 def _with_hpc_optin(factory: ProgramFactory) -> ProgramFactory:
     """Wrap a program so its first action is the SCHED_HPC opt-in."""

@@ -37,29 +37,6 @@ class BTMZ(Workload):
 
     name = "bt-mz"
 
-    @classmethod
-    def sp_mz_like(
-        cls,
-        iterations: int = DEFAULT_ITERATIONS,
-        ranks: int = 4,
-        profile: PerfProfile = MIXED,
-    ) -> "BTMZ":
-        """An SP-MZ-like configuration: *equal* zone sizes.
-
-        NPB's SP-MZ partitions the mesh into equally-sized zones, so the
-        application is intrinsically balanced — the negative control for
-        HPCSched: a correct balancer must leave it alone (and must not
-        slow it down).
-        """
-        per_rank = sum(DEFAULT_ZONE_WORKS) / len(DEFAULT_ZONE_WORKS)
-        wl = cls(
-            zone_works=[per_rank] * ranks,
-            iterations=iterations,
-            profile=profile,
-        )
-        wl.name = "sp-mz"
-        return wl
-
     def __init__(
         self,
         zone_works: Optional[Sequence[float]] = None,

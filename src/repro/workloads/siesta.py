@@ -97,10 +97,6 @@ class Siesta(Workload):
         """The pre-generated compute chunk of one sub-iteration."""
         return float(self._chunks[rank, step, sub])
 
-    def total_work(self, rank: int) -> float:
-        """Total work units a rank executes over the whole run."""
-        return float(self._chunks[rank].sum())
-
     # ------------------------------------------------------------------
     def _program(self, rank: int):
         def factory(mpi: MPIRank) -> Generator:

@@ -154,14 +154,6 @@ def calculate_work(
     return [loads[i] for i in order]
 
 
-def realized_imbalance(loads: Sequence[float]) -> float:
-    """The imbalance factor a work distribution actually realizes."""
-    loads = list(loads)
-    if not loads or sum(loads) == 0:
-        return 1.0
-    return max(loads) / (sum(loads) / len(loads))
-
-
 def _paired_order(loads: Sequence[float]) -> List[float]:
     """Heavy-with-light per SMT core: sorted loads interleaved so core
     ``k`` hosts the k-th lightest and k-th heaviest rank."""

@@ -8,7 +8,6 @@ from repro.analysis.convergence import (
     DEFAULT_EPS,
     EpochSample,
     auto_eps,
-    convergence_from_result,
     convergence_metrics,
     epoch_samples,
     spread_floor,
@@ -194,19 +193,11 @@ def test_auto_eps_never_drops_below_the_detector_band():
 
 
 # ----------------------------------------------------------------------
-# The ExperimentResult entry point.
+# A real run's kept trace.
 # ----------------------------------------------------------------------
 
 
-def test_convergence_from_result_requires_a_trace():
-    class NoTrace:
-        trace = None
-
-    with pytest.raises(ValueError, match="keep_trace"):
-        convergence_from_result(NoTrace())
-
-
-def test_convergence_from_result_reads_a_real_run():
+def test_convergence_metrics_read_a_real_run():
     from repro.experiments.common import run_experiment
     from repro.workloads.synth import SyntheticConvergence
 
@@ -217,8 +208,8 @@ def test_convergence_from_result_reads_a_real_run():
     samples = epoch_samples(result.trace, names=list(result.tasks))
     # One complete epoch per workload iteration.
     assert len(samples) == 6
-    m = convergence_from_result(
-        result, eps=auto_eps(samples, after_index=1, until_index=3), after_index=3
+    m = convergence_metrics(
+        samples, eps=auto_eps(samples, after_index=1, until_index=3), after_index=3
     )
     assert m.converged
     assert m.epochs_observed == 3

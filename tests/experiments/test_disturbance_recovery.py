@@ -89,7 +89,7 @@ def test_recovery_restores_the_balanced_priorities(outcomes):
     assert launched.tasks["P4"].hw_priority == 6
     assert launched.tasks["P1"].hw_priority == 4
     assert launched.tasks["P3"].hw_priority == 4
-    assert hpc.detector.frozen  # re-frozen after recovery
+    assert hpc.detector.state == "frozen"  # re-frozen after recovery
 
 
 def test_cost_of_the_error_is_bounded(outcomes):

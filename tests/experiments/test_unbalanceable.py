@@ -72,4 +72,4 @@ def test_detector_reaches_stable_state(runs):
         if cls.name == "hpc":
             hpc = cls
     assert hpc is not None
-    assert hpc.detector.frozen
+    assert hpc.detector.state == "frozen"

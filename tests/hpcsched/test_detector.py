@@ -153,7 +153,6 @@ def test_detector_freezes_after_quiet_round(quiet_kernel):
     # round 2: observation only
     env.round([0.95, 0.93])
     assert env.detector.state == "frozen"
-    assert env.detector.frozen
 
 
 def test_frozen_holds_despite_high_utils(quiet_kernel):
@@ -174,10 +173,10 @@ def test_behaviour_change_thaws_and_rebalances(quiet_kernel):
     a, b = env.tasks
     env.round([0.99, 0.2])
     env.round([0.95, 0.93])
-    assert env.detector.frozen
+    assert env.detector.state == "frozen"
     # behaviour reverses: b is now the busy one, a mostly waits
     env.round([0.10, 0.99])
-    assert not env.detector.frozen
+    assert env.detector.state != "frozen"
     assert env.detector.behaviour_changes == 1
     env.round([0.10, 0.99])
     # history was reset: decisions reflect the new behaviour
@@ -190,7 +189,7 @@ def test_thaw_resets_history(quiet_kernel):
     a, b = env.tasks
     env.round([0.99, 0.2])
     env.round([0.95, 0.93])
-    assert env.detector.frozen
+    assert env.detector.state == "frozen"
     env.round([0.1, 0.9])
     st = env.detector.stats[a.pid]
     # reset kept only the revealing iteration (plus at most this round's)
@@ -202,9 +201,9 @@ def test_small_fluctuations_do_not_thaw(quiet_kernel):
     env = _Env(quiet_kernel)
     env.round([0.99, 0.2])
     env.round([0.95, 0.90])
-    assert env.detector.frozen
+    assert env.detector.state == "frozen"
     env.round([0.92, 0.85])  # within rebalance_delta (12 pts)
-    assert env.detector.frozen
+    assert env.detector.state == "frozen"
 
 
 def test_task_arrival_thaws_clears_refs_and_allows_refreeze(quiet_kernel):
@@ -215,7 +214,7 @@ def test_task_arrival_thaws_clears_refs_and_allows_refreeze(quiet_kernel):
     env = _Env(quiet_kernel)
     env.round([0.99, 0.2])
     env.round([0.95, 0.93])
-    assert env.detector.frozen
+    assert env.detector.state == "frozen"
     assert env.detector._freeze_ref  # references exist while frozen
 
     # A third task joins the application: thaw via task arrival.
@@ -229,7 +228,7 @@ def test_task_arrival_thaws_clears_refs_and_allows_refreeze(quiet_kernel):
     # The detector re-freezes on the new membership with fresh refs.
     env.round([0.95, 0.93, 0.94])  # new task promoted -> observing
     env.round([0.95, 0.93, 0.94])  # quiet round -> frozen
-    assert env.detector.frozen
+    assert env.detector.state == "frozen"
     assert set(env.detector._freeze_ref) == {task.pid for task in env.tasks}
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.common import build_kernel
+from repro.kernel.policies import TaskState
 from repro.kernel.syscalls import Compute, Sleep
 from repro.power5.pmu import MachinePMU
 from repro.validate.invariants import consistency_check
@@ -56,7 +57,7 @@ def test_random_populations_conserve_work_and_terminate(tasks):
         )
     end = kernel.run()
     assert consistency_check(kernel) == []
-    assert all(not t.alive for t in handles)
+    assert all(t.state == TaskState.EXITED for t in handles)
 
     # Work conservation through the PMU: total retired work equals the
     # submitted work (the fluid engine must not lose or invent work).

@@ -32,7 +32,12 @@ def _kernel(sim=None, trace=None):
 
 
 def _pending_rescheds(sim):
-    return [ev for _, ev in sim.queue.iter_entries() if ev.label == "resched"]
+    """Pending reschedule-batch events, found by their callback."""
+    return [
+        ev
+        for _, ev in sim.queue.iter_entries()
+        if ev[1].__qualname__ == "_ReschedBatch.fire"
+    ]
 
 
 def _program(*requests):

@@ -11,8 +11,6 @@ def test_defaults():
     assert t.state == TaskState.NEW
     assert t.policy == SchedPolicy.NORMAL
     assert t.hw_priority == 4  # the paper's normal priority
-    assert t.alive
-    assert not t.runnable
     assert not t.is_idle_task
 
 
@@ -66,15 +64,3 @@ def test_cancel_phase_event():
     t.cancel_phase_event()
     assert ev.cancelled
     assert t.phase_event is None
-
-
-def test_runnable_states():
-    t = Task(pid=1, name="t")
-    t.state = TaskState.READY
-    assert t.runnable
-    t.state = TaskState.RUNNING
-    assert t.runnable
-    t.state = TaskState.SLEEPING
-    assert not t.runnable
-    t.state = TaskState.EXITED
-    assert not t.alive

@@ -1,22 +1,8 @@
-"""Communicator split tests."""
+"""Sub-communicator tests."""
 
 import pytest
 
 from repro.mpi.comm import Communicator
-
-
-def test_split_by_parity():
-    world = Communicator([0, 1, 2, 3, 4, 5])
-    groups = world.split(lambda r: r % 2)
-    assert set(groups) == {0, 1}
-    assert groups[0].ranks == (0, 2, 4)
-    assert groups[1].ranks == (1, 3, 5)
-
-
-def test_split_names_carry_color():
-    world = Communicator([0, 1], name="w")
-    groups = world.split(lambda r: "a")
-    assert groups["a"].name == "w/splita"
 
 
 def test_split_communicators_are_independent(quiet_kernel):
@@ -24,7 +10,7 @@ def test_split_communicators_are_independent(quiet_kernel):
     from tests.mpi.test_collectives import launch
 
     world_ranks = [0, 1, 2, 3]
-    subs = Communicator(world_ranks).split(lambda r: r // 2)
+    subs = [Communicator([0, 1]), Communicator([2, 3])]
     released = []
 
     def make(rank):

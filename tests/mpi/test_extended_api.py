@@ -1,10 +1,5 @@
-"""Extended MPI API tests: wait, sendrecv, iprobe, extra collectives."""
-
-import pytest
-
-from repro.mpi.comm import ANY_SOURCE, ANY_TAG
-from repro.mpi.process import MPIRank
-from repro.mpi.runtime import MPIRuntime
+"""MPI API tests: a single-handle wait, a symmetric exchange, and two
+collective kinds in flight at once."""
 
 from tests.mpi.test_collectives import launch
 
@@ -23,7 +18,7 @@ def test_wait_single_handle(quiet_kernel):
     def receiver(mpi):
         def prog():
             h = mpi.irecv(0, tag=0)
-            yield mpi.wait(h)
+            yield mpi.waitall([h])
             got.append(h.complete)
 
         return prog()
@@ -34,15 +29,16 @@ def test_wait_single_handle(quiet_kernel):
 
 
 def test_sendrecv_exchange_is_deadlock_free(quiet_kernel):
-    """Both ranks sendrecv each other simultaneously — the classic
-    pattern that deadlocks with naive blocking sends."""
+    """Both ranks exchange with each other simultaneously — the classic
+    pattern that deadlocks with naive blocking sends; posting both
+    transfers before blocking (BT-MZ's pattern) cannot."""
     done = []
 
     def make(rank, peer):
         def factory(mpi):
             def prog():
                 yield mpi.compute(0.01 * (rank + 1))
-                yield mpi.sendrecv(peer, source=peer)
+                yield mpi.waitall([mpi.isend(peer), mpi.irecv(peer)])
                 done.append(rank)
 
             return prog()
@@ -55,55 +51,8 @@ def test_sendrecv_exchange_is_deadlock_free(quiet_kernel):
     assert end < 0.1
 
 
-def test_iprobe_nonconsuming(quiet_kernel):
-    observations = []
-
-    def sender(mpi):
-        def prog():
-            mpi.isend(1, tag=9)
-            yield mpi.compute(0.001)
-
-        return prog()
-
-    def receiver(mpi):
-        def prog():
-            yield mpi.compute(0.05)  # let the message land
-            observations.append(mpi.iprobe(0, 9))
-            observations.append(mpi.iprobe(0, 9))  # still there
-            observations.append(mpi.iprobe(0, 99))  # wrong tag
-            yield mpi.recv(0, tag=9)
-            observations.append(mpi.iprobe(0, 9))  # consumed
-
-        return prog()
-
-    launch(quiet_kernel, [sender, receiver], cpus=[0, 2])
-    quiet_kernel.run()
-    assert observations == [True, True, False, False]
-
-
-@pytest.mark.parametrize("kind", ["gather", "scatter", "alltoall"])
-def test_extra_collectives_synchronize(quiet_kernel, kind):
-    times = []
-
-    def make(rank, work):
-        def factory(mpi):
-            def prog():
-                yield mpi.compute(work)
-                yield getattr(mpi, kind)()
-                times.append(quiet_kernel.now)
-
-            return prog()
-
-        return factory
-
-    launch(quiet_kernel, [make(0, 0.001), make(1, 0.03)], cpus=[0, 2])
-    quiet_kernel.run()
-    assert len(times) == 2
-    assert abs(times[0] - times[1]) < 1e-9
-
-
 def test_collectives_of_different_kinds_do_not_interfere(quiet_kernel):
-    """A barrier and a gather in flight concurrently keep separate
+    """A barrier and an allreduce in flight concurrently keep separate
     arrival counters."""
     order = []
 
@@ -111,8 +60,8 @@ def test_collectives_of_different_kinds_do_not_interfere(quiet_kernel):
         def prog():
             yield mpi.barrier()
             order.append("a-barrier")
-            yield mpi.gather()
-            order.append("a-gather")
+            yield mpi.allreduce()
+            order.append("a-allreduce")
 
         return prog()
 
@@ -120,12 +69,12 @@ def test_collectives_of_different_kinds_do_not_interfere(quiet_kernel):
         def prog():
             yield mpi.barrier()
             order.append("b-barrier")
-            yield mpi.gather()
-            order.append("b-gather")
+            yield mpi.allreduce()
+            order.append("b-allreduce")
 
         return prog()
 
     launch(quiet_kernel, [a, b], cpus=[0, 2])
     quiet_kernel.run()
     assert set(order[:2]) == {"a-barrier", "b-barrier"}
-    assert set(order[2:]) == {"a-gather", "b-gather"}
+    assert set(order[2:]) == {"a-allreduce", "b-allreduce"}

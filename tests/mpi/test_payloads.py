@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel.syscalls import Sleep
 from tests.mpi.test_collectives import launch
 
 
@@ -76,7 +77,7 @@ def test_other_requests_yield_none(quiet_kernel):
     def solo(mpi):
         def prog():
             got.append((yield mpi.compute(0.01)))
-            got.append((yield mpi.sleep(0.001)))
+            got.append((yield Sleep(0.001)))
             got.append((yield mpi.barrier()))
 
         return prog()

@@ -148,7 +148,7 @@ def test_fifo_ordering_same_channel(quiet_kernel):
         def prog():
             for _ in range(5):
                 yield mpi.recv(0, tag=0)
-                st = mpi.runtime.state(1)
+                st = mpi.runtime._states[1]
                 seen.append(len(st.unexpected))
 
         return prog()

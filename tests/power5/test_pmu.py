@@ -37,7 +37,7 @@ def test_corun_equal_priorities_split_decode(quiet_kernel):
     cb = pmu.context_counters(1)
     assert ca.avg_decode_share == pytest.approx(0.5, abs=1e-6)
     assert cb.avg_decode_share == pytest.approx(0.5, abs=1e-6)
-    assert ca.smt_time > 0
+    assert ca.busy_time - ca.st_time > 0  # time shared with b
 
 
 def test_priority_difference_measured_by_pmu(quiet_kernel):
@@ -78,9 +78,7 @@ def test_st_time_accrues_when_sibling_sleeps(quiet_kernel):
     k.spawn("hog", pure_compute_program(2.0), cpu=1)
     k.run()
     hog = pmu.context_counters(1)
-    assert hog.st_time > 0
-    assert hog.smt_time > 0
-    assert hog.busy_time == pytest.approx(hog.st_time + hog.smt_time)
+    assert 0 < hog.st_time < hog.busy_time  # some single-thread, some shared
 
 
 def test_idle_context_counts_nothing(quiet_kernel):

@@ -10,19 +10,21 @@ with no structure the implementation could share a bug with.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 
 class ModelEvent:
     """One model entry; ``cancel()`` only flags it."""
 
-    __slots__ = ("time", "priority", "seq", "label", "cancelled")
+    __slots__ = ("time", "priority", "seq", "fn", "cancelled")
 
-    def __init__(self, time: float, priority: int, seq: int, label: str) -> None:
+    def __init__(
+        self, time: float, priority: int, seq: int, fn: Callable[[], Any]
+    ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
-        self.label = label
+        self.fn = fn
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -37,8 +39,10 @@ class ModelQueue:
         self.entries: List[ModelEvent] = []
         self._seq = 0
 
-    def push(self, time: float, priority: int = 0, label: str = "") -> ModelEvent:
-        ev = ModelEvent(time, priority, self._seq, label)
+    def push(
+        self, time: float, fn: Callable[[], Any], priority: int = 0
+    ) -> ModelEvent:
+        ev = ModelEvent(time, priority, self._seq, fn)
         self._seq += 1
         self.entries.append(ev)
         return ev

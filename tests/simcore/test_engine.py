@@ -258,7 +258,7 @@ def test_defer_drained_in_horizon_and_oracle_runs():
             self.seen = []
 
         def on_event(self, ev):
-            self.seen.append(ev.label)
+            self.seen.append(ev[1])  # the callback
 
     sim = Simulator()
     log = []
@@ -266,10 +266,11 @@ def test_defer_drained_in_horizon_and_oracle_runs():
     sim.run(until=10.0)
     assert log == ["a"]
     sim.oracle = Oracle()
-    sim.after(1.0, lambda: sim.defer(lambda: log.append("b")), label="b")
+    b = lambda: sim.defer(lambda: log.append("b"))  # noqa: E731
+    sim.after(1.0, b)
     sim.run()
     assert log == ["a", "b"]
-    assert sim.oracle.seen == ["b"]
+    assert sim.oracle.seen == [b]
 
 
 def test_storm_chain_deterministic_event_count():

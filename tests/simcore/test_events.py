@@ -14,9 +14,9 @@ def _deliver_one(sim):
 def test_push_pop_orders_by_time():
     sim = Simulator()
     fired = []
-    sim.queue.push(2.0, lambda: fired.append("b"))
-    sim.queue.push(1.0, lambda: fired.append("a"))
-    sim.queue.push(3.0, lambda: fired.append("c"))
+    sim.at(2.0, lambda: fired.append("b"))
+    sim.at(1.0, lambda: fired.append("a"))
+    sim.at(3.0, lambda: fired.append("c"))
     sim.run()
     assert fired == ["a", "b", "c"]
 
@@ -24,9 +24,9 @@ def test_push_pop_orders_by_time():
 def test_priority_breaks_time_ties():
     sim = Simulator()
     order = []
-    sim.queue.push(1.0, lambda: order.append("low"), priority=5)
-    sim.queue.push(1.0, lambda: order.append("high"), priority=0)
-    sim.queue.push(1.0, lambda: order.append("mid"), priority=2)
+    sim.at(1.0, lambda: order.append("low"), priority=5)
+    sim.at(1.0, lambda: order.append("high"), priority=0)
+    sim.at(1.0, lambda: order.append("mid"), priority=2)
     sim.run()
     assert order == ["high", "mid", "low"]
 
@@ -35,7 +35,7 @@ def test_insertion_order_breaks_full_ties():
     sim = Simulator()
     order = []
     for i in range(10):
-        sim.queue.push(1.0, lambda i=i: order.append(i), priority=0)
+        sim.at(1.0, lambda i=i: order.append(i), priority=0)
     sim.run()
     assert order == list(range(10))
 
@@ -43,10 +43,10 @@ def test_insertion_order_breaks_full_ties():
 def test_cancelled_events_are_skipped():
     sim = Simulator()
     fired = []
-    ev1 = sim.queue.push(1.0, lambda: fired.append("dropme"))
-    sim.queue.push(2.0, lambda: fired.append("keep"))
+    ev1 = sim.at(1.0, lambda: fired.append("dropme"))
+    sim.at(2.0, lambda: fired.append("keep"))
     ev1.cancel()
-    assert not ev1.active
+    assert ev1.cancelled
     sim.run()
     assert fired == ["keep"]
     assert sim.events_processed == 1
@@ -57,7 +57,7 @@ def test_len_excludes_lazily_cancelled_events():
     corpses awaiting lazy removal.  It must track *pending* events."""
     sim = Simulator()
     q = sim.queue
-    ev = q.push(1.0, lambda: None)
+    ev = sim.at(1.0, lambda: None)
     assert len(q) == 1
     ev.cancel()
     assert len(q) == 0  # cancelled immediately; lazy removal is internal
@@ -71,7 +71,7 @@ def test_len_tracks_push_cancel_pop_mix():
     sim = Simulator()
     q = sim.queue
     fired = []
-    handles = [q.push(float(i), lambda i=i: fired.append(i)) for i in range(5)]
+    handles = [sim.at(float(i), lambda i=i: fired.append(i)) for i in range(5)]
     assert len(q) == 5
     handles[0].cancel()
     handles[3].cancel()
@@ -89,7 +89,7 @@ def test_property_pop_order_is_sorted(times):
     sim = Simulator()
     fired = []
     for t in times:
-        sim.queue.push(t, lambda t=t: fired.append(t))
+        sim.at(t, lambda t=t: fired.append(t))
     sim.run()
     assert fired == sorted(times)
 
@@ -104,7 +104,7 @@ def test_property_pop_order_is_sorted(times):
 )
 def test_property_cancellation_removes_exactly_the_cancelled(entries, cancel_idx):
     sim = Simulator()
-    handles = [sim.queue.push(t, lambda: None, priority=p) for t, p in entries]
+    handles = [sim.at(t, lambda: None, priority=p) for t, p in entries]
     for i in cancel_idx:
         if i < len(handles):
             handles[i].cancel()
@@ -152,7 +152,7 @@ def test_property_interleaved_ops_match_reference_model(ops):
             t = max(t, sim.now)  # the clock only moves forward
             arrival = len(handles)
             handles.append(
-                q.push(t, lambda a=arrival: fired.append(a), priority=prio)
+                sim.at(t, lambda a=arrival: fired.append(a), priority=prio)
             )
             model.append((t, prio, arrival))
         elif op[0] == "cancel":
@@ -189,7 +189,7 @@ def test_mass_cancellation_compacts_heap():
     sim = Simulator()
     q = sim.queue
     out = []
-    handles = [q.push(float(i), lambda i=i: out.append(float(i))) for i in range(500)]
+    handles = [sim.at(float(i), lambda i=i: out.append(float(i))) for i in range(500)]
     for i, h in enumerate(handles):
         if i % 5:  # cancel 80%
             h.cancel()
@@ -208,7 +208,7 @@ def test_compaction_keeps_live_count_exact():
     q = sim.queue
     handles = []
     for round_ in range(30):
-        handles.extend(q.push(float(round_) + i * 1e-3, lambda: None) for i in range(10))
+        handles.extend(sim.at(float(round_) + i * 1e-3, lambda: None) for i in range(10))
         for h in handles[::3]:
             h.cancel()
         tracked, actual = q.live_count_check()

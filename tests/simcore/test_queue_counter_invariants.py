@@ -30,7 +30,7 @@ def check_counters(q: EventQueue) -> None:
     corpses = 0
     for b in q._buckets.values():
         for ev in b if type(b) is list else (b,):
-            if ev[4] is None:
+            if ev[3] is None:  # the cancelled marker
                 corpses += 1
     if q._draining:
         assert 0 <= q._corpses <= corpses
@@ -58,7 +58,7 @@ def test_property_counters_match_scan_under_random_ops(ops):
     for op, arg in ops:
         if op == "push":
             t = max(t, sim.now) + (arg % 7) * 0.125  # repeats tie-break
-            handles.append(q.push(t, lambda: None))
+            handles.append(sim.at(t, lambda: None))
         elif op == "cancel" and handles:
             # Double-cancels and cancels of delivered events included.
             handles[arg % len(handles)].cancel()
@@ -79,10 +79,11 @@ def test_property_counters_match_scan_under_random_ops(ops):
 def test_property_compaction_threshold_never_drifts(n_cancel, n_keep):
     # Push enough events to trip the corpses>64, corpses>live threshold
     # from inside Event.cancel, in every order hypothesis picks.
-    q = EventQueue()
-    doomed = [q.push(float(i), lambda: None) for i in range(n_cancel)]
+    sim = Simulator()
+    q = sim.queue
+    doomed = [sim.at(float(i), lambda: None) for i in range(n_cancel)]
     for i in range(n_keep):
-        q.push(float(n_cancel + i), lambda: None)
+        sim.at(float(n_cancel + i), lambda: None)
     for ev in doomed:
         ev.cancel()
         check_counters(q)
@@ -107,7 +108,7 @@ def _storm(sim, n_events, cancel_all_at, cancel_stride):
             return
         if cancel_stride and i % cancel_stride == 0:
             for ev in pending:
-                if ev.active and ev._queue is not None:
+                if ev[3] is sim.queue:  # still pending
                     ev.cancel()
                     break
         check_counters(sim.queue)
@@ -147,7 +148,7 @@ def test_engine_horizon_counters(with_predicate):
     sim.run(until=1.0, stop_when=_predicate(with_predicate))
     check_counters(sim.queue)
     assert len(sim.queue) == 0
-    assert all(not ev.active or ev._queue is None for ev in pending)
+    assert all(ev[3] is not sim.queue for ev in pending)  # none pending
 
 
 def test_cancel_currently_firing_event_is_counter_neutral():
@@ -187,6 +188,6 @@ def test_mass_cancel_inside_handler_defers_compaction(with_predicate):
     sim.at(0.5, massacre)
     sim.run(stop_when=_predicate(with_predicate))
     assert fired == ["survivor"]
-    assert survivor._queue is None
+    assert survivor[3] is False  # the delivered marker
     check_counters(sim.queue)
     assert sim.queue._corpses == 0

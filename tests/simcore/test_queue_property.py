@@ -1,10 +1,11 @@
-"""Property suite: the bucketed ``EventQueue``, drained by
-``Simulator.run``, against a sorted-list model under random operation
-interleavings.
+"""Property suite: the bucketed ``EventQueue``, filled by
+``Simulator.at`` and drained by ``Simulator.run``, against a sorted-list
+model under random operation interleavings.
 
 The model (:mod:`tests.simcore.queue_model`) states the queue's contract
 in the plainest form: drive both through the same randomized ``push``/
-``cancel``/``compact`` sequences, deliver through the engine (one event
+``cancel``/``compact`` sequences (every push through ``Simulator.at``,
+the path every run takes), deliver through the engine (one event
 at a time, up to a horizon, or from inside handlers that push and cancel
 at the instant being drained) and require event-for-event agreement —
 same delivery order (time, priority, seq), same ``len()``, same live
@@ -16,7 +17,7 @@ O(n) scan after each step.
 from hypothesis import given, settings, strategies as st
 
 from repro.simcore.engine import Simulator
-from repro.simcore.events import EventQueue
+from repro.simcore.events import SEQ_SPAN, EventQueue
 from tests.simcore.queue_model import ModelQueue
 
 
@@ -58,16 +59,17 @@ class _Harness:
         self.delivered = []  # (model entry, Event), in delivery order
         self.t = 0.0
 
-    def push(self, step: float, prio: int, label: str = "x") -> None:
+    def push(self, step: float, prio: int) -> None:
         self.t = max(self.t, self.sim.now) + step  # % 0 repeats the instant
         idx = len(self.pairs)
-        me = self.model.push(self.t, priority=prio, label=label)
-        ev = self.sim.queue.push(
-            self.t, lambda: self.fire(idx), priority=prio, label=label
-        )
+        fn = lambda: self.fire(idx)  # noqa: E731
+        me = self.model.push(self.t, fn, priority=prio)
+        ev = self.sim.at(self.t, fn, priority=prio)
         assert ev.time == me.time == self.t
-        assert ev.priority == me.priority == prio
-        assert ev.seq == me.seq
+        assert ev[1] is me.fn
+        # The packed order int is (priority, seq).
+        assert divmod(ev[0], SEQ_SPAN) == (me.priority, me.seq)
+        assert me.priority == prio
         self.pairs.append((me, ev))
 
     def fire(self, idx: int) -> None:
@@ -86,7 +88,7 @@ class _Harness:
         sim = self.sim
         if op in ("push", "pushprio"):
             prio = (arg % 7) if op == "pushprio" else 0
-            self.push((arg % 5) * 0.25, prio, label=f"l{arg % 3}")
+            self.push((arg % 5) * 0.25, prio)
         elif op == "cancel" and self.pairs:
             self.cancel(arg)
         elif op == "deliver":
@@ -184,12 +186,15 @@ def test_property_handler_actions_agree_with_model(pushes, actions, until):
 @given(st.lists(_OPS, max_size=80))
 def test_property_iter_entries_agrees_with_model(ops):
     """``iter_entries`` (the scan behind ``live_count_check``) yields
-    the live (time, label, seq) multiset of the model."""
+    the live (time, seq, callback) set of the model."""
     h = _Harness()
     for op, arg in ops:
         h.apply(op, arg)
-    m_view = sorted((tm, ev.label, ev.seq) for tm, ev in h.model.iter_entries())
-    q_view = sorted((tm, ev.label, ev.seq) for tm, ev in h.sim.queue.iter_entries())
+    # seq is unique, so the sort never compares two callbacks.
+    m_view = sorted((tm, me.seq, me.fn) for tm, me in h.model.iter_entries())
+    q_view = sorted(
+        (tm, ev[0] % SEQ_SPAN, ev[1]) for tm, ev in h.sim.queue.iter_entries()
+    )
     assert q_view == m_view
 
 
@@ -198,10 +203,10 @@ def test_cancel_after_delivery_is_inert():
     (the kernel cancels phase events that may have just delivered)."""
     sim = Simulator()
     q = sim.queue
-    ev = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
+    ev = sim.at(1.0, lambda: None)
+    sim.at(2.0, lambda: None)
     sim.run(stop_when=lambda: True)
-    assert ev.fn is not None and ev._queue is None  # delivered
+    assert ev[1] is not None and ev[3] is False  # delivered
     ev.cancel()  # delivered, not pending: counters untouched
     assert len(q) == 1
     _scan_check(q)
@@ -214,10 +219,9 @@ def test_same_instant_append_after_partial_drain_keeps_order():
     """Regression (hypothesis-found): after a sort + partial drain
     leaves a nonzero-priority event at a bucket's tail, a later
     priority-0 push at the same instant outranks that tail and must
-    flag the bucket — through every inlined push site (queue.push,
-    Simulator.at, Simulator.after)."""
+    flag the bucket — through both push sites (Simulator.at and
+    Simulator.after)."""
     sites = (
-        lambda sim, fn, prio: sim.queue.push(0.25, fn, priority=prio),
         lambda sim, fn, prio: sim.at(0.25, fn, priority=prio),
         lambda sim, fn, prio: sim.after(0.25 - sim.now, fn, priority=prio),
     )
@@ -249,7 +253,7 @@ def test_in_order_priority_appends_do_not_flag():
     out = []
 
     def push(prio, label):
-        q.push(1.0, lambda: out.append(label), priority=prio)
+        sim.at(1.0, lambda: out.append(label), priority=prio)
 
     push(1, "w1")
     push(1, "w2")  # in order: no flag
@@ -267,8 +271,8 @@ def test_singleton_bucket_promotion_keeps_order():
     priority push must still deliver in (priority, seq) order."""
     sim = Simulator()
     order = []
-    sim.queue.push(1.0, lambda: order.append("p5"), priority=5)
-    sim.queue.push(1.0, lambda: order.append("p0a"), priority=0)
-    sim.queue.push(1.0, lambda: order.append("p0b"), priority=0)
+    sim.at(1.0, lambda: order.append("p5"), priority=5)
+    sim.at(1.0, lambda: order.append("p0a"), priority=0)
+    sim.at(1.0, lambda: order.append("p0b"), priority=0)
     sim.run()
     assert order == ["p0a", "p0b", "p5"]

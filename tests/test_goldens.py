@@ -97,7 +97,7 @@ def test_task_counters_equal_the_kept_timelines(key):
     assert result.tasks
     for name, row in result.tasks.items():
         pid = result.launched.tasks[name].pid
-        timeline = trace.timeline(pid)
+        timeline = trace.timelines[pid]
         assert row.running == timeline.time_in(State.RUNNING), name
         assert row.ready == timeline.time_in(State.READY), name
         assert row.waiting == timeline.time_in(State.WAITING), name

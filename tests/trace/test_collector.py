@@ -12,7 +12,7 @@ def test_collector_builds_timelines(kernel, make_compute_task):
     end = kernel.run()
     trace = kernel.trace
     trace.finish(end)
-    tl = trace.timeline(t.pid)
+    tl = trace.timelines[t.pid]
     states = [iv.state for iv in tl.intervals]
     assert State.RUNNING in states
     assert State.WAITING in states

@@ -6,7 +6,6 @@ from repro.trace.collector import TraceCollector
 from repro.trace.paraver import (
     EVT_HW_PRIORITY,
     STATE_CODE,
-    export_names,
     export_prv,
 )
 from repro.trace.records import State
@@ -58,10 +57,6 @@ def test_records_sorted_by_time(trace):
         parts = line.split(":")
         times.append(int(parts[5]))
     assert times == sorted(times)
-
-
-def test_export_names(trace):
-    assert export_names(trace) == {1: "P1"}
 
 
 def test_empty_trace_exports_header_only():

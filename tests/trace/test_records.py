@@ -5,11 +5,6 @@ import pytest
 from repro.trace.records import Interval, State, TaskTimeline
 
 
-def test_interval_duration():
-    iv = Interval(1.0, 3.5, State.RUNNING, cpu=0)
-    assert iv.duration == 2.5
-
-
 def test_transitions_build_intervals():
     tl = TaskTimeline(1, "t")
     tl.transition(0.0, State.READY)
@@ -28,7 +23,7 @@ def test_same_state_transition_coalesced():
     tl.transition(1.0, State.RUNNING, cpu=0)
     tl.finish(2.0)
     assert len(tl.intervals) == 1
-    assert tl.intervals[0].duration == 2.0
+    assert tl.intervals[0] == Interval(0.0, 2.0, State.RUNNING, 0)
 
 
 def test_cpu_change_splits_interval():
@@ -59,15 +54,6 @@ def test_time_in_with_window():
     assert tl.time_in(State.RUNNING, start=1.0, end=3.0) == 2.0
     assert tl.time_in(State.WAITING, start=0.0, end=5.0) == 1.0
     assert tl.time_in(State.READY) == 0.0
-
-
-def test_span():
-    tl = TaskTimeline(1, "t")
-    assert tl.span == 0.0
-    tl.transition(1.0, State.RUNNING, cpu=0)
-    tl.transition(3.0, State.WAITING)
-    tl.finish(5.0)
-    assert tl.span == 4.0
 
 
 def test_finish_idempotent_state():

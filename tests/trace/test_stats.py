@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.trace.records import State, TaskTimeline
-from repro.trace.stats import (
-    TaskStats,
-    utilization,
-)
+from repro.trace.stats import TaskStats
 
 
 def make_stats(running, ready, waiting):
@@ -29,13 +25,3 @@ def test_zero_span_safe():
     assert s.pct_comp == 0.0
     assert s.pct_running == 0.0
     assert s.utilization == 0.0
-
-
-def test_utilization_of_timeline_window():
-    tl = TaskTimeline(1, "t")
-    tl.transition(0.0, State.RUNNING, cpu=0)
-    tl.transition(2.0, State.WAITING)
-    tl.finish(4.0)
-    assert utilization(tl) == pytest.approx(0.5)
-    assert utilization(tl, start=0.0, end=2.0) == pytest.approx(1.0)
-    assert utilization(tl, start=2.0, end=4.0) == pytest.approx(0.0)

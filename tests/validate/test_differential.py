@@ -6,7 +6,6 @@ from repro.validate.differential import (
     Divergence,
     _first_mismatch,
     _tolerance,
-    logs_as_text,
     run_differential,
 )
 from repro.validate.reference import ReferenceResult
@@ -116,14 +115,6 @@ def test_divergence_describe_mentions_times_and_delta():
     assert d.delta == pytest.approx(0.5)
     text = d.describe()
     assert "A" in text and "op[3]" in text and "compute(0.01)" in text
-
-
-def test_logs_as_text_renders_both_columns():
-    res = run_differential(SMOKE)
-    text = logs_as_text(res)
-    assert "fluid=" in text and "ref=" in text
-    for spec in SMOKE.tasks:
-        assert f"{spec.name}:" in text
 
 
 def test_refinement_absorbs_quantization_past_the_budget(monkeypatch):

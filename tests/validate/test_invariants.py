@@ -216,15 +216,15 @@ def test_audit_catches_a_removed_banking_site(monkeypatch, site):
 
 
 def test_on_event_rejects_cancelled_delivery(oracles):
-    ev = oracles.kernel.sim.queue.push(1.0, lambda: None)
+    ev = oracles.kernel.sim.at(1.0, lambda: None)
     ev.cancel()
     with pytest.raises(InvariantViolation, match="cancelled"):
         oracles.on_event(ev)
 
 
 def test_on_event_rejects_time_travel(oracles):
-    late = oracles.kernel.sim.queue.push(2.0, lambda: None)
-    early = oracles.kernel.sim.queue.push(1.0, lambda: None)
+    late = oracles.kernel.sim.at(2.0, lambda: None)
+    early = oracles.kernel.sim.at(1.0, lambda: None)
     oracles.on_event(late)
     with pytest.raises(InvariantViolation, match="backwards"):
         oracles.on_event(early)

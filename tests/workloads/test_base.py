@@ -12,20 +12,20 @@ def test_launch_binds_ranks_in_order(quiet_kernel):
     launched = launch_workload(quiet_kernel, wl)
     assert set(launched.tasks) == {"master", "P1", "P2", "P3", "P4"}
     # rank 0 is the master, workers follow
-    assert launched.runtime.tasks[0] is launched.task("master")
-    assert launched.runtime.tasks[1] is launched.task("P1")
+    assert launched.runtime.tasks[0] is launched.tasks["master"]
+    assert launched.runtime.tasks[1] is launched.tasks["P1"]
 
 
 def test_launch_pins_ranks(quiet_kernel):
     launched = launch_workload(quiet_kernel, MetBench(iterations=1))
-    assert launched.task("P1").cpu == 0
-    assert launched.task("P4").cpu == 3
+    assert launched.tasks["P1"].cpu == 0
+    assert launched.tasks["P4"].cpu == 3
 
 
 def test_launch_without_hpc_keeps_normal_policy(quiet_kernel):
     launched = launch_workload(quiet_kernel, MetBench(iterations=1))
     quiet_kernel.sim.run(until=0.001)
-    assert launched.task("P1").policy == SchedPolicy.NORMAL
+    assert launched.tasks["P1"].policy == SchedPolicy.NORMAL
 
 
 def test_launch_with_hpc_optin(quiet_kernel):
@@ -35,8 +35,8 @@ def test_launch_with_hpc_optin(quiet_kernel):
     launched = launch_workload(quiet_kernel, MetBench(iterations=1), use_hpc=True)
     quiet_kernel.sim.run(until=0.001)
     # the wrapper's first action moved every rank into SCHED_HPC
-    assert launched.task("P1").policy == SchedPolicy.HPC
-    assert launched.task("master").policy == SchedPolicy.HPC
+    assert launched.tasks["P1"].policy == SchedPolicy.HPC
+    assert launched.tasks["master"].policy == SchedPolicy.HPC
 
 
 def test_workload_measured_names_excludes_master():

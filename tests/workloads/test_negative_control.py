@@ -9,14 +9,27 @@ and to remain there"); these tests pin it down.
 import pytest
 
 from repro.experiments.common import run_experiment
-from repro.workloads.btmz import BTMZ
+from repro.workloads.btmz import BTMZ, DEFAULT_ZONE_WORKS
+
+
+def sp_mz_like(iterations: int, ranks: int = 4) -> BTMZ:
+    """An SP-MZ-like configuration: *equal* zone sizes.
+
+    NPB's SP-MZ partitions the mesh into equally-sized zones, so the
+    application is intrinsically balanced — the negative control for
+    HPCSched: a correct balancer must leave it alone (and must not
+    slow it down).
+    """
+    per_rank = sum(DEFAULT_ZONE_WORKS) / len(DEFAULT_ZONE_WORKS)
+    wl = BTMZ(zone_works=[per_rank] * ranks, iterations=iterations)
+    wl.name = "sp-mz"
+    return wl
 
 
 @pytest.fixture(scope="module")
 def runs():
-    make = lambda: BTMZ.sp_mz_like(iterations=25)  # noqa: E731
     return {
-        sched: run_experiment(make(), sched, keep_trace=False)
+        sched: run_experiment(sp_mz_like(iterations=25), sched, keep_trace=False)
         for sched in ("cfs", "uniform", "adaptive", "hybrid")
     }
 

@@ -31,7 +31,7 @@ def test_means_respected():
 
 def test_rank_imbalance_ladder():
     wl = Siesta()
-    totals = [wl.total_work(r) for r in range(4)]
+    totals = [float(wl._chunks[r].sum()) for r in range(4)]
     assert totals == sorted(totals, reverse=True)
     assert totals[0] / totals[3] > 3.0
 

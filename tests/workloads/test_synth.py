@@ -18,9 +18,13 @@ from repro.workloads.synth import (
     _paired_order,
     _stick_break,
     calculate_work,
-    realized_imbalance,
     unbalanced_sweep,
 )
+
+
+def realized_imbalance(loads):
+    """The imbalance factor a work distribution realizes: max / mean."""
+    return max(loads) / (sum(loads) / len(loads))
 
 # ----------------------------------------------------------------------
 # The acceptance grid: every feasible (I, N) cell must hit the target
